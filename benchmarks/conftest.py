@@ -1,11 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment of EXPERIMENTS.md (one theorem,
-figure, or construction of the paper), prints the measured rows as a table,
-and asserts the qualitative *shape* the paper predicts (who wins, what stays
-flat, what grows).  The pytest-benchmark fixture times a single run of each
-experiment (``pedantic`` with one round) so ``--benchmark-only`` produces a
-timing table without multiplying the workload.
+Every benchmark regenerates one experiment (one theorem, figure, or
+construction of the paper; see ``PAPER.md`` and ``benchmarks/README.md``),
+prints the measured rows as a table, and asserts the qualitative *shape* the
+paper predicts (who wins, what stays flat, what grows).  The
+pytest-benchmark fixture times a single run of each experiment
+(``pedantic`` with one round) so ``--benchmark-only`` produces a timing
+table without multiplying the workload.
 """
 
 from __future__ import annotations

@@ -1273,8 +1273,8 @@ def _run_faulted_cell(cell: Cell, reps: int) -> Dict[str, object]:
         trace.require_valid()  # surviving-subgraph verdict
         assert cell.problem.validate_induced(
             network,
-            trace._node_value_slots(),
-            trace._edge_value_slots(),
+            trace.node_outputs,
+            trace.edge_outputs,
             trace.crashed,
         ), f"induced-survivor validity on {cell}"
         if self_stabilizing:

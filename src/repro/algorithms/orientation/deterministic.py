@@ -10,11 +10,11 @@ contraction scheme that handles the locally tree-like residual graph.
 
 We implement stage (i) faithfully and replace the contraction machinery of
 stage (ii) with a deterministic *peeling* stage built on the request/grant
-consent protocol of :mod:`repro.algorithms.orientation.protocol` (see
-DESIGN.md, substitutions): an unsatisfied node requests, in preference order,
-an unoriented edge towards an already-satisfied neighbour (such requests are
-always granted, so the satisfied region grows by one hop per phase and a node
-at distance d from the nearest short cycle finishes after O(d) phases —
+consent protocol of :mod:`repro.algorithms.orientation.protocol`: an
+unsatisfied node requests, in preference order, an unoriented edge towards
+an already-satisfied neighbour (such requests are always granted, so the
+satisfied region grows by one hop per phase and a node at distance d from
+the nearest short cycle finishes after O(d) phases —
 min-degree-3 graphs guarantee d = O(log n)), and otherwise round-robins its
 requests over its remaining unoriented edges.  The resulting algorithm is
 deterministic, correct on the benchmark workloads, finishes in
@@ -23,8 +23,8 @@ population of nodes near short cycles after a constant number of rounds —
 which is the node-averaged-versus-worst-case separation the theorem is
 about.  The true O(log* n) node-averaged bound needs the paper's
 cluster-contraction recursion, whose constants (cluster radius ≥ 31, girth
-≥ 90) are far beyond laptop-scale graphs; EXPERIMENTS.md discusses this
-substitution.
+≥ 90) are far beyond laptop-scale graphs; ``benchmarks/README.md``
+(experiment e4) records this substitution.
 
 Stage (i) is conflict-free because it uses a single synchronised checkpoint:
 for ``flood_rounds`` rounds every node forwards newly learnt edges and

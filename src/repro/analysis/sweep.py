@@ -2,8 +2,8 @@
 
 A sweep runs one or more algorithms over a family of networks (e.g. growing
 ``n`` or growing ``Δ``), measures every averaged-complexity notion for each
-combination, and returns the rows that the benchmark scripts print and that
-EXPERIMENTS.md records.
+combination, and returns the rows that the benchmark scripts print
+(``benchmarks/README.md``).
 
 Sweeps can fan their ``(value, algorithm, trial)`` cells across a
 ``multiprocessing`` pool (``parallel=``).  Every cell derives its seed from

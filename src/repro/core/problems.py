@@ -19,41 +19,46 @@ factories:
   head of the edge; no node may have out-degree 0), for graphs of minimum
   degree ≥ 3 as in Theorem 6.
 
-Every problem carries **two** validator implementations:
+Every problem is checked in exactly two ways:
 
-* a networkx reference validator (``is_maximal_independent_set`` and
-  friends) — the seed implementation, kept as the executable specification
-  and exercised by the compatibility path of :meth:`ProblemSpec.validate`;
-* a CSR-native validator (``csr_is_maximal_independent_set`` and friends)
-  that consumes a :class:`repro.local.network.Network`'s cached
-  ``indptr``/``indices`` flat arrays directly.  This is the hot path used by
-  :meth:`ProblemSpec.validate_network` and by
-  :meth:`repro.core.trace.ExecutionTrace.validate`: validating a trace never
-  exports the topology back to networkx.
+* a networkx **reference** validator (``is_maximal_independent_set`` and
+  friends) — the executable specification, run by :meth:`ProblemSpec.validate`
+  on a networkx graph and used by the tests as the oracle;
+* one array **kernel** ``(network, values, committed, alive, strict) ->
+  ValidationResult`` vectorised over the network's ``edge_endpoints()`` /
+  ``indptr`` arrays.  ``values`` and ``committed`` are per-slot arrays of the
+  labelled entity (vertex-indexed for node problems, in ``edge_endpoints()``
+  order for edge problems; values of uncommitted slots are ignored) and
+  ``alive`` is the vertex survival mask.
 
-CSR validators receive outputs as flat per-slot sequences (vertex-indexed
-for nodes, :attr:`Network.edges`-indexed for edges) with the module sentinel
-:data:`MISSING` marking absent outputs; :meth:`ProblemSpec.validate_network`
-accepts either mappings (the trace representation) or such sequences and
-normalises.
+:meth:`ProblemSpec.validate_network`, :meth:`~ProblemSpec.validate_surviving`
+and :meth:`~ProblemSpec.validate_induced` all run the kernel; they differ
+only in the crash set and in ``strict``:
 
-Every problem additionally carries a **surviving** validator
-(``csr_is_surviving_mis`` and friends) used by
-:meth:`ProblemSpec.validate_surviving` to score executions under crash-stop
-faults: crashed nodes and crash-adjacent edges are excused from committing,
-constraints are enforced on the surviving subgraph, and commitments a node
-made before dying still count where crash-stop semantics say they must
-(coverage, matchedness, domination, orientation heads).  The stricter
-:meth:`ProblemSpec.validate_induced` — validity of the plain induced
-subgraph, no concessions — backs the self-stabilisation recovery metrics.
+* ``validate_network`` — nothing crashed; both modes coincide.
+* ``validate_surviving`` (``strict=False``) — scores executions under
+  crash-stop faults with the documented concessions: crashed nodes and
+  crash-adjacent edges are excused from committing, constraints bind the
+  surviving subgraph, and what a node committed before dying still counts
+  where crash-stop semantics say it must (coverage, matchedness,
+  domination, orientation heads).
+* ``validate_induced`` (``strict=True``) — validity on the survivor-induced
+  subgraph alone: crashed commitments are discarded.  It backs the
+  self-stabilisation recovery metrics.
+
+Outputs arrive as mappings (vertex / canonical edge → value), as per-slot
+sequences with :data:`MISSING` marking absent outputs, or as a value array
+plus a ``committed`` mask; they are normalised once, at that boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import networkx as nx
+import numpy as np
 
 __all__ = [
     "MISSING",
@@ -71,20 +76,6 @@ __all__ = [
     "is_maximal_matching",
     "is_proper_coloring",
     "is_sinkless_orientation",
-    "csr_is_independent_set",
-    "csr_is_maximal_independent_set",
-    "csr_is_ruling_set",
-    "csr_is_matching",
-    "csr_is_maximal_matching",
-    "csr_is_proper_coloring",
-    "csr_is_sinkless_orientation",
-    "csr_is_surviving_mis",
-    "csr_is_surviving_maximal_matching",
-    "csr_is_induced_mis",
-    "csr_is_induced_maximal_matching",
-    "csr_is_surviving_coloring",
-    "csr_is_surviving_ruling_set",
-    "csr_is_surviving_sinkless_orientation",
 ]
 
 Edge = Tuple[int, int]
@@ -116,6 +107,13 @@ class ValidationResult:
         return self.valid
 
 
+#: ``(network, values, committed, alive, strict) -> ValidationResult``.
+Kernel = Callable[[Any, Any, np.ndarray, np.ndarray, bool], ValidationResult]
+
+#: Outputs of one entity kind in any accepted input form.
+Outputs = Optional[Union[Mapping[Any, Any], Sequence[Any], np.ndarray]]
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Specification of a distributed graph problem.
@@ -124,38 +122,22 @@ class ProblemSpec:
         name: human-readable problem name.
         labels_nodes: whether the problem assigns an output to every node.
         labels_edges: whether the problem assigns an output to every edge.
-        validator: callable ``(graph, node_outputs, edge_outputs) -> ValidationResult``
-            checking a complete assignment.  ``graph`` is a networkx graph on
-            vertices ``0..n-1``; ``node_outputs`` maps vertex → output;
-            ``edge_outputs`` maps canonical edge ``(u, v), u < v`` → output.
+        validator: the networkx reference, a callable
+            ``(graph, node_outputs, edge_outputs) -> ValidationResult``
+            checking a complete assignment.  ``graph`` is a networkx graph;
+            ``node_outputs`` maps vertex → output; ``edge_outputs`` maps
+            canonical edge ``(u, v), u < v`` → output.
         params: free-form parameters of the problem instance (e.g. α, β for
             ruling sets, the palette size for colouring).
-        csr_validator: CSR-native fast-path validator
-            ``(network, node_values, edge_values, stray_edges) -> ValidationResult``
-            where ``node_values``/``edge_values`` are flat per-slot sequences
-            (:data:`MISSING` marks absent outputs) and ``stray_edges`` lists
-            ``((u, v), value)`` entries of a mapping input that are not edges
-            of the network.  When ``None``, :meth:`validate_network` falls
-            back to the networkx validator via the network's cached export.
-        surviving_validator: fault-aware validator
-            ``(network, node_values, edge_values, crashed) -> ValidationResult``
-            scoring outputs on the **surviving subgraph** after crash-stop
-            node faults (``crashed`` is a set of dead vertices).  Unlike a
-            plain re-validation on the induced survivor graph, a surviving
-            validator may credit commitments towards crashed nodes (e.g. an
-            MIS survivor covered by a crashed-but-committed ``True``
-            neighbour).  When ``None``, :meth:`validate_surviving` falls
-            back to strict validation on the induced survivor subnetwork.
-        induced_validator: vectorised fast path for
-            :meth:`validate_induced`, signature ``(network, node_values,
-            node_committed, edge_values, edge_committed, crashed) ->
-            ValidationResult`` where the value/committed pairs are numpy
-            bool arrays (values of uncommitted slots are ignored).  Must
-            agree verdict-for-verdict with the strict
-            induced-survivor-subnetwork fallback; it exists because that
-            fallback (subnetwork build + relabel dicts per call) dominated
-            the per-round recovery check of faulted runs on both engines.
-            When ``None``, :meth:`validate_induced` uses the fallback.
+        kernel: the array kernel ``(network, values, committed, alive,
+            strict) -> ValidationResult`` behind :meth:`validate_network`,
+            :meth:`validate_surviving` and :meth:`validate_induced`.  It
+            receives the labelled entity's slots (a kernel-backed problem
+            labels exactly one of nodes and edges), called only once every
+            required output is present; under ``strict`` the slots of
+            crashed nodes and crash-adjacent edges arrive uncommitted.  When
+            ``None`` (custom problems), those methods run :attr:`validator`
+            on the survivor-induced networkx graph instead.
     """
 
     name: str
@@ -163,15 +145,7 @@ class ProblemSpec:
     labels_edges: bool
     validator: Callable[[nx.Graph, Mapping[int, Any], Mapping[Edge, Any]], ValidationResult]
     params: Mapping[str, Any] = field(default_factory=dict)
-    csr_validator: Optional[
-        Callable[[Any, Sequence[Any], Sequence[Any], Sequence[Tuple[Edge, Any]]], ValidationResult]
-    ] = None
-    surviving_validator: Optional[
-        Callable[[Any, Sequence[Any], Sequence[Any], "frozenset[int]"], ValidationResult]
-    ] = None
-    induced_validator: Optional[
-        Callable[[Any, Any, Any, Any, Any, "frozenset[int]"], ValidationResult]
-    ] = None
+    kernel: Optional[Kernel] = None
 
     def validate(
         self,
@@ -181,18 +155,16 @@ class ProblemSpec:
     ) -> ValidationResult:
         """Check a complete output assignment against this problem.
 
-        ``graph`` may be a :class:`networkx.Graph` (the seed signature, kept
-        as a thin compatibility wrapper around the reference validators) or a
-        :class:`repro.local.network.Network`, which dispatches to the
-        CSR-native fast path of :meth:`validate_network`.
+        ``graph`` may be a :class:`networkx.Graph`, which runs the reference
+        validator, or a :class:`repro.local.network.Network`, which
+        dispatches to :meth:`validate_network`.
         """
         if not isinstance(graph, nx.Graph):
             return self.validate_network(graph, node_outputs, edge_outputs)
         # An explicit MISSING value in a mapping is equivalent to the key
         # being absent (the sentinel means "never committed"); stripping the
         # entries here keeps this reference path in verdict agreement with
-        # the CSR fast path, which normalises through slot sequences where
-        # the two cases are indistinguishable by construction.
+        # the kernel path, whose slot arrays cannot tell the two apart.
         node_outputs = {
             v: value for v, value in (node_outputs or {}).items() if value is not MISSING
         }
@@ -205,6 +177,7 @@ class ProblemSpec:
                 return ValidationResult(False, f"missing node outputs for {missing[:5]}")
         if self.labels_edges:
             missing_edges = [
+                # repro-lint: allow[REP002] reference path, runs on an nx graph
                 e for e in (_canon(u, v) for u, v in graph.edges()) if e not in edge_outputs
             ]
             if missing_edges:
@@ -214,48 +187,36 @@ class ProblemSpec:
     def validate_network(
         self,
         network: Any,
-        node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]" = None,
-        edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]" = None,
+        node_outputs: Outputs = None,
+        edge_outputs: Outputs = None,
+        *,
+        node_committed: Optional[Any] = None,
+        edge_committed: Optional[Any] = None,
     ) -> ValidationResult:
-        """CSR fast path: validate against a :class:`Network` without networkx.
+        """Validate outputs on a :class:`Network` (nothing crashed).
 
-        ``node_outputs`` is either a vertex → value mapping or a sequence of
-        length ``n`` (slot ``v`` = output of vertex ``v``); ``edge_outputs``
-        is either a canonical-edge → value mapping or a sequence of length
-        ``m`` in :attr:`Network.edges` order.  :data:`MISSING` marks absent
-        outputs in sequence form.
+        ``node_outputs`` is a vertex → value mapping or a length-``n``
+        sequence (slot ``v`` = output of vertex ``v``); ``edge_outputs`` is
+        a canonical-edge → value mapping or a length-``m`` sequence in
+        ``edge_endpoints()`` order.  :data:`MISSING` marks absent outputs
+        in sequence form; alternatively ``node_committed`` /
+        ``edge_committed`` give a bool mask of committed slots (values of
+        uncommitted slots are ignored), which is how traces and engines
+        pass their state arrays.
         """
-        if self.csr_validator is None:
-            # Custom problem without a CSR validator: route through the
-            # reference implementation on the network's (cached) export.
-            return self.validate(
-                network.to_networkx(),
-                _slots_to_mapping_nodes(network, node_outputs),
-                _slots_to_mapping_edges(network, edge_outputs),
-            )
-        node_values = _node_slots(network, node_outputs)
-        edge_values, stray_edges = _edge_slots(network, edge_outputs)
-        if self.labels_nodes:
-            missing = [v for v in range(network.n) if node_values[v] is MISSING]
-            if missing:
-                return ValidationResult(False, f"missing node outputs for {missing[:5]}")
-        if self.labels_edges:
-            missing_slots = [i for i in range(network.m) if edge_values[i] is MISSING]
-            if missing_slots:
-                # Materialise the tuple edge view only on the failure path —
-                # a complete assignment (the overwhelmingly common case)
-                # never pays for per-edge tuples here.
-                edges = network.edges
-                missing_edges = [edges[i] for i in missing_slots[:5]]
-                return ValidationResult(False, f"missing edge outputs for {missing_edges}")
-        return self.csr_validator(network, node_values, edge_values, stray_edges)
+        return self._check(
+            network, node_outputs, edge_outputs, (), False, node_committed, edge_committed
+        )
 
     def validate_surviving(
         self,
         network: Any,
-        node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]" = None,
-        edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]" = None,
+        node_outputs: Outputs = None,
+        edge_outputs: Outputs = None,
         crashed: Sequence[int] = (),
+        *,
+        node_committed: Optional[Any] = None,
+        edge_committed: Optional[Any] = None,
     ) -> ValidationResult:
         """Score outputs on the surviving subgraph after crash-stop faults.
 
@@ -264,129 +225,118 @@ class ProblemSpec:
         (edge problems): a crashed node that never committed — or an edge
         whose endpoint died before the edge was decided — is excused, not a
         failure.  Whatever a crashed node *did* commit before dying stands
-        and is visible to the validator (it can, e.g., cover a surviving
-        MIS non-member).
-
-        Problems registering a :attr:`surviving_validator` get the
-        fault-aware semantics; otherwise the outputs are strictly
-        re-validated on the induced survivor subnetwork (correct for purely
-        local constraints such as colouring, conservative for problems with
-        maximality-style constraints).
+        and is visible to the kernel (it can, e.g., cover a surviving MIS
+        non-member).  Input forms as in :meth:`validate_network`.
         """
-        crashed_set = frozenset(crashed)
-        if not crashed_set:
-            return self.validate_network(network, node_outputs, edge_outputs)
-        node_values = _node_slots(network, node_outputs)
-        edge_values, _stray = _edge_slots(network, edge_outputs)
-        if self.labels_nodes:
-            missing = [
-                v
-                for v in range(network.n)
-                if v not in crashed_set and node_values[v] is MISSING
-            ]
-            if missing:
-                return ValidationResult(
-                    False, f"missing node outputs for survivors {missing[:5]}"
-                )
-        if self.labels_edges:
-            missing_edges = [
-                e
-                for i, e in enumerate(network.edges)
-                if edge_values[i] is MISSING
-                and e[0] not in crashed_set
-                and e[1] not in crashed_set
-            ]
-            if missing_edges:
-                return ValidationResult(
-                    False,
-                    f"missing edge outputs for surviving edges {missing_edges[:5]}",
-                )
-        if self.surviving_validator is not None:
-            return self.surviving_validator(network, node_values, edge_values, crashed_set)
-        return self._validate_on_survivor_subnetwork(
-            network, node_values, edge_values, crashed_set
+        return self._check(
+            network, node_outputs, edge_outputs, crashed, False, node_committed, edge_committed
         )
 
     def validate_induced(
         self,
         network: Any,
-        node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]" = None,
-        edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]" = None,
+        node_outputs: Outputs = None,
+        edge_outputs: Outputs = None,
         crashed: Sequence[int] = (),
         *,
         node_committed: Optional[Any] = None,
         edge_committed: Optional[Any] = None,
     ) -> ValidationResult:
-        """Strictly validate outputs on the induced survivor subnetwork.
+        """Strictly validate outputs on the induced survivor subgraph.
 
-        Unlike :meth:`validate_surviving`, this never consults the (lenient)
-        :attr:`surviving_validator`: commitments of crashed nodes are
-        discarded and the survivors' outputs must stand on their own on the
-        induced subgraph.  Self-stabilisation metrics use this form — a
-        recovered configuration must be valid *for the survivors alone*, or
-        "recovery" would be vacuously credited to pre-crash commitments.
-
-        ``node_committed`` / ``edge_committed`` are optional numpy bool
-        masks accompanying array-form outputs (slot committed iff the mask
-        is True; values of uncommitted slots are ignored).  The array
-        engine passes its state arrays this way so per-round recovery
-        checks of problems with an :attr:`induced_validator` stay fully
-        vectorised — no ``MISSING``-marked Python list is ever built.
+        Unlike :meth:`validate_surviving`, commitments of crashed nodes and
+        crash-adjacent edges are discarded and the survivors' outputs must
+        stand on their own, exactly as the reference validator judges them
+        on ``graph.subgraph(survivors)``.  Self-stabilisation metrics use
+        this form — a recovered configuration must be valid *for the
+        survivors alone*, or "recovery" would be vacuously credited to
+        pre-crash commitments.  Input forms as in :meth:`validate_network`.
         """
-        crashed_set = frozenset(crashed)
-        if crashed_set and self.induced_validator is not None:
-            node_values, node_mask = _commit_arrays(
-                network.n, network, node_outputs, node_committed, nodes=True
-            )
-            edge_values, edge_mask = _commit_arrays(
-                network.m, network, edge_outputs, edge_committed, nodes=False
-            )
-            return self.induced_validator(
-                network, node_values, node_mask, edge_values, edge_mask, crashed_set
-            )
-        if node_committed is not None:
-            node_outputs = _masked_slots(node_outputs, node_committed)
-        if edge_committed is not None:
-            edge_outputs = _masked_slots(edge_outputs, edge_committed)
-        if not crashed_set:
-            return self.validate_network(network, node_outputs, edge_outputs)
-        node_values = _node_slots(network, node_outputs)
-        edge_values, _stray = _edge_slots(network, edge_outputs)
-        return self._validate_on_survivor_subnetwork(
-            network, node_values, edge_values, crashed_set
+        return self._check(
+            network, node_outputs, edge_outputs, crashed, True, node_committed, edge_committed
         )
+
+    def _check(
+        self,
+        network: Any,
+        node_outputs: Outputs,
+        edge_outputs: Outputs,
+        crashed: Sequence[int],
+        strict: bool,
+        node_committed: Optional[Any],
+        edge_committed: Optional[Any],
+    ) -> ValidationResult:
+        """Normalise the inputs, require the survivors' outputs, run the kernel."""
+        alive = _alive_mask(network.n, crashed)
+        everyone = bool(alive.all())
+        node_values, node_mask, _ = _slot_arrays(network, node_outputs, node_committed, True)
+        edge_values, edge_mask, strays = _slot_arrays(
+            network, edge_outputs, edge_committed, False
+        )
+        if self.labels_nodes:
+            missing = np.flatnonzero(alive & ~node_mask)
+            if missing.size:
+                who = "" if everyone else "survivors "
+                return ValidationResult(
+                    False, f"missing node outputs for {who}{missing[:5].tolist()}"
+                )
+            if strict:
+                node_mask = node_mask & alive
+        if self.labels_edges:
+            us, vs = network.edge_endpoints()
+            live = alive[us] & alive[vs]
+            missing = np.flatnonzero(live & ~edge_mask)[:5]
+            if missing.size:
+                who = "" if everyone else "surviving edges "
+                pairs = list(zip(us[missing].tolist(), vs[missing].tolist()))
+                return ValidationResult(False, f"missing edge outputs for {who}{pairs}")
+            if strict:
+                edge_mask = edge_mask & live
+        # Stray mapping entries fit no slot; only a fault-free check consults
+        # them (crash-mode checks ignore them), and the reference judges them.
+        if not everyone:
+            strays = []
+        if self.kernel is None or strays:
+            return self._validate_on_survivor_subnetwork(
+                network, (node_values, node_mask), (edge_values, edge_mask), alive, strays
+            )
+        if self.labels_nodes:
+            return self.kernel(network, node_values, node_mask, alive, strict)
+        return self.kernel(network, edge_values, edge_mask, alive, strict)
 
     def _validate_on_survivor_subnetwork(
         self,
         network: Any,
-        node_values: Sequence[Any],
-        edge_values: Sequence[Any],
-        crashed_set: "frozenset[int]",
+        nodes: Tuple[Any, np.ndarray],
+        edges: Tuple[Any, np.ndarray],
+        alive: np.ndarray,
+        strays: Sequence[Tuple[Any, Any]],
     ) -> ValidationResult:
-        """Strict fallback: re-validate on the induced survivor subnetwork.
+        """Reference fallback: :attr:`validator` on the survivor-induced graph.
 
-        Outputs are re-indexed to the subnetwork's vertex numbering
-        (``subnetwork`` relabels sorted survivors to ``0..k-1``).  Output
-        *values* are passed through unchanged, so problems whose values
-        reference vertex ids (e.g. orientation heads) need a dedicated
-        surviving validator instead of this fallback.
+        Backs kernel-less custom problems, and fault-free mapping inputs
+        whose stray entries (keys that are not edges) fit no slot.  Commitments
+        of crashed nodes and on crash-adjacent edges are discarded.
+        ``graph.subgraph`` keeps vertex labels, so output values that name
+        vertices (orientation heads) need no relabelling.
         """
-        survivors = [v for v in range(network.n) if v not in crashed_set]
-        sub = network.subnetwork(survivors)
-        relabel = {v: i for i, v in enumerate(survivors)}
-        sub_nodes = {
-            relabel[v]: node_values[v]
-            for v in survivors
-            if node_values[v] is not MISSING
-        }
-        sub_edges: Dict[Edge, Any] = {}
-        for i, (u, v) in enumerate(network.edges):
-            value = edge_values[i]
-            if value is MISSING or u in crashed_set or v in crashed_set:
-                continue
-            a, b = relabel[u], relabel[v]
-            sub_edges[(a, b) if a < b else (b, a)] = value
-        return self.validate_network(sub, sub_nodes, sub_edges)
+        # repro-lint: allow[REP002] the reference validators consume an nx graph
+        graph = network.to_networkx()
+        if not alive.all():
+            graph = graph.subgraph(np.flatnonzero(alive).tolist())
+        node_values, node_mask = nodes
+        node_map = {v: node_values[v] for v in np.flatnonzero(node_mask & alive).tolist()}
+        edge_values, edge_mask = edges
+        us, vs = network.edge_endpoints()
+        slots = np.flatnonzero(edge_mask & alive[us] & alive[vs])
+        edge_map: Dict[Any, Any] = dict(
+            zip(
+                zip(us[slots].tolist(), vs[slots].tolist()),
+                [edge_values[i] for i in slots.tolist()],
+            )
+        )
+        edge_map.update(strays)
+        return self.validate(graph, node_map, edge_map)
 
 
 def _canon(u: int, v: int) -> Edge:
@@ -394,131 +344,102 @@ def _canon(u: int, v: int) -> Edge:
 
 
 # ---------------------------------------------------------------------- #
-# Slot normalisation for the CSR fast path
+# The input boundary and kernel helpers
 # ---------------------------------------------------------------------- #
 
 
-def _node_slots(
-    network: Any, node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]"
-) -> List[Any]:
-    """Per-vertex value slots (``MISSING`` where absent) from either form.
+def _alive_mask(n: int, crashed: Sequence[int]) -> np.ndarray:
+    """Vertex survival mask; crashed ids outside ``0..n-1`` are ignored."""
+    alive = np.ones(n, dtype=bool)
+    dead = np.fromiter(crashed, dtype=np.int64)
+    alive[dead[(dead >= 0) & (dead < n)]] = False
+    return alive
 
-    Mapping keys outside ``0..n-1`` are ignored, as the networkx reference
-    path ignores them (it only ever consults real vertices).
+
+def _slot_arrays(
+    network: Any, outputs: Outputs, committed: Optional[Any], nodes: bool
+) -> Tuple[Any, np.ndarray, List[Tuple[Any, Any]]]:
+    """The one boundary normaliser: ``(values, committed, strays)`` per side.
+
+    Mappings and :data:`MISSING`-marked sequences become a slot sequence plus
+    a committed mask; a value array with a ``committed`` mask passes through.
+    Node mapping keys outside ``0..n-1`` are ignored, as the reference path
+    ignores them.  Edge mapping keys that are not canonical edges of the
+    network come back as ``strays`` (``MISSING`` values are never strays:
+    the reference path strips them before it consults the graph).
     """
-    n = network.n
-    if node_outputs is None:
-        return [MISSING] * n
-    if isinstance(node_outputs, Mapping):
-        get = node_outputs.get
-        return [get(v, MISSING) for v in range(n)]
-    # Trust lists (e.g. the slot lists ExecutionTrace.validate just built)
-    # instead of re-copying them; validators never mutate their inputs.
-    values = node_outputs if isinstance(node_outputs, list) else list(node_outputs)
-    if len(values) != n:
-        raise ValueError(f"expected {n} node output slots, got {len(values)}")
-    return values
-
-
-def _edge_slots(
-    network: Any, edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]"
-) -> Tuple[List[Any], List[Tuple[Edge, Any]]]:
-    """Per-edge value slots in :attr:`Network.edges` order, plus stray entries.
-
-    Mapping keys must be canonical ``(u, v), u < v`` tuples; keys that are
-    not edges of the network are returned as ``stray_edges`` so validators
-    can reproduce the reference behaviour for corrupted assignments (e.g. a
-    matched edge that is not in the graph).
-    """
-    m = network.m
-    if edge_outputs is None:
-        return [MISSING] * m, []
-    if isinstance(edge_outputs, Mapping):
-        get = edge_outputs.get
-        slots = [get(e, MISSING) for e in network.edges]
-        strays: List[Tuple[Edge, Any]] = []
-        if sum(1 for s in slots if s is not MISSING) != len(edge_outputs):
-            known = set(network.edges)
-            # Entries whose value is the MISSING sentinel are "never
-            # committed" and therefore not strays — the nx reference path
-            # strips them before it ever consults the graph.
-            strays = [
-                (e, value)
-                for e, value in edge_outputs.items()
-                if e not in known and value is not MISSING
-            ]
-        return slots, strays
-    values = edge_outputs if isinstance(edge_outputs, list) else list(edge_outputs)
-    if len(values) != m:
-        raise ValueError(f"expected {m} edge output slots, got {len(values)}")
-    return values, []
-
-
-def _masked_slots(outputs: Optional[Any], committed: Any) -> List[Any]:
-    """``MISSING``-marked slot list from an array + committed-mask pair."""
-    count = len(committed)
+    count = network.n if nodes else network.m
+    strays: List[Tuple[Any, Any]] = []
+    if isinstance(outputs, Mapping):
+        committed = None
+        if nodes:
+            get = outputs.get
+            outputs = [get(v, MISSING) for v in range(count)]
+        else:
+            outputs, strays = _edge_mapping_slots(network, outputs)
     if outputs is None:
-        return [MISSING] * count
-    slots: List[Any] = list(outputs)
-    for i in range(count):
-        if not committed[i]:
-            slots[i] = MISSING
-    return slots
-
-
-def _commit_arrays(
-    count: int,
-    network: Any,
-    outputs: Optional[Any],
-    committed: Optional[Any],
-    *,
-    nodes: bool,
-) -> Tuple[Any, Any]:
-    """``(values, committed)`` bool-array pair for an induced validator.
-
-    Array-form inputs (``committed`` mask given) pass through as numpy
-    views; mapping / ``MISSING``-marked sequence inputs are normalised
-    through the usual slot helpers first.  Values are coerced to bool —
-    induced validators are registered only for boolean-output problems.
-    """
-    import numpy as np
-
+        values: Any = np.zeros(count, dtype=bool)
+        mask = np.zeros(count, dtype=bool)
+    else:
+        values = outputs
+        if len(values) != count:
+            kind = "node" if nodes else "edge"
+            raise ValueError(f"expected {count} {kind} output slots, got {len(values)}")
+        if committed is None:
+            mask = np.fromiter(
+                (value is not MISSING for value in values), dtype=bool, count=count
+            )
     if committed is not None:
         mask = np.asarray(committed, dtype=bool)
-        if outputs is None:
-            return np.zeros(count, dtype=bool), mask
-        return np.asarray(outputs, dtype=bool), mask
-    if outputs is None:
-        return np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-    slots = (
-        _node_slots(network, outputs) if nodes else _edge_slots(network, outputs)[0]
-    )
-    mask = np.fromiter((v is not MISSING for v in slots), dtype=bool, count=count)
-    values = np.fromiter(
-        (v is not MISSING and bool(v) for v in slots), dtype=bool, count=count
-    )
-    return values, mask
+    return values, mask, strays
 
 
-def _slots_to_mapping_nodes(
-    network: Any, node_outputs: "Optional[Union[Mapping[int, Any], Sequence[Any]]]"
-) -> Mapping[int, Any]:
-    if node_outputs is None:
-        return {}
-    if isinstance(node_outputs, Mapping):
-        return node_outputs
-    return {v: value for v, value in enumerate(node_outputs) if value is not MISSING}
+def _edge_mapping_slots(
+    network: Any, outputs: Mapping[Any, Any]
+) -> Tuple[List[Any], List[Tuple[Any, Any]]]:
+    """Edge-slot sequence of a canonical-edge mapping, plus its stray entries.
+
+    Slots resolve through the packed-key edge index, so the tuple edge view
+    is never built.
+    """
+    slots: List[Any] = [MISSING] * network.m
+    strays: List[Tuple[Any, Any]] = []
+    if outputs:
+        n = network.n
+        index = network._packed_edge_index()
+        for key, value in outputs.items():
+            if value is MISSING:
+                continue
+            u, v = key
+            slot = index.get(u * n + v) if 0 <= u < v < n else None
+            if slot is None:
+                strays.append((key, value))
+            else:
+                slots[slot] = value
+    return slots, strays
 
 
-def _slots_to_mapping_edges(
-    network: Any, edge_outputs: "Optional[Union[Mapping[Edge, Any], Sequence[Any]]]"
-) -> Mapping[Edge, Any]:
-    if edge_outputs is None:
-        return {}
-    if isinstance(edge_outputs, Mapping):
-        return edge_outputs
-    edges = network.edges
-    return {edges[i]: value for i, value in enumerate(edge_outputs) if value is not MISSING}
+def _truthy(values: Any) -> np.ndarray:
+    """Per-slot truthiness as a bool array (Python ``bool`` of each value)."""
+    if isinstance(values, np.ndarray):
+        return values.astype(bool, copy=False)
+    return np.fromiter(map(bool, values), dtype=bool, count=len(values))
+
+
+def _objects(values: Any) -> np.ndarray:
+    """Per-slot Python values as an object array; arrays are read via ``tolist``."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.argmax(mask))
+
+
+def _fail(alive: np.ndarray, message: str) -> ValidationResult:
+    """A failed verdict whose witness is called *surviving* once anything crashed."""
+    return ValidationResult(False, message if alive.all() else f"surviving {message}")
 
 
 # ---------------------------------------------------------------------- #
@@ -528,6 +449,7 @@ def _slots_to_mapping_edges(
 
 def is_independent_set(graph: nx.Graph, selected: Mapping[int, Any]) -> bool:
     """Whether the nodes with truthy output form an independent set."""
+    # repro-lint: allow[REP002] reference validator, runs on an nx graph
     return all(not (selected.get(u) and selected.get(v)) for u, v in graph.edges())
 
 
@@ -593,313 +515,107 @@ def is_ruling_set(
     return ValidationResult(True)
 
 
-def _selected_flags(n: int, node_values: Sequence[Any]) -> bytearray:
-    """Byte flags of the vertices whose slot value is present and truthy."""
-    flags = bytearray(n)
-    for v in range(n):
-        value = node_values[v]
-        if value is not MISSING and value:
-            flags[v] = 1
-    return flags
-
-
-def _independence_violated(network: Any, selected: bytearray) -> bool:
-    """Whether any edge has both endpoints selected.
-
-    Vectorised over the network's endpoint arrays when it has them (one
-    fancy-indexed AND instead of a tuple-per-edge scan — the difference
-    between milliseconds and seconds at m = 5·10⁶); the tuple scan remains
-    for duck-typed networks without :meth:`edge_endpoints`.  Verdicts are
-    identical either way.
-    """
-    endpoints = getattr(network, "edge_endpoints", None)
-    if endpoints is not None:
-        import numpy as np
-
-        us, vs = endpoints()
-        if len(us) == 0:
-            return False
-        flags = np.frombuffer(selected, dtype=np.uint8)
-        return bool(np.any(flags[us] & flags[vs]))
-    return any(selected[u] and selected[v] for u, v in network.edges)
-
-
-def csr_is_independent_set(network: Any, node_values: Sequence[Any]) -> bool:
-    """CSR-native :func:`is_independent_set` (slot-sequence input)."""
-    selected = _selected_flags(network.n, node_values)
-    return not _independence_violated(network, selected)
-
-
-def csr_is_maximal_independent_set(
-    network: Any, node_values: Sequence[Any]
+def _mis_kernel(
+    network: Any, values: Any, committed: np.ndarray, alive: np.ndarray, strict: bool
 ) -> ValidationResult:
-    """CSR-native :func:`is_maximal_independent_set`.
+    """Maximal independent set.
 
-    Independence is checked vectorised over the endpoint arrays; maximality
-    scans each unselected vertex's CSR row for a selected neighbour.
+    Independence binds survivor–survivor edges (a survivor may sit next to
+    a crashed member it never heard retire).  An unselected survivor is
+    covered by *any* selected neighbour: under ``strict=False`` a crashed
+    one counts, which is exact for crash-stop faults — a neighbour that
+    caused a ``False`` commit had itself committed ``True`` before
+    announcing.  Under ``strict`` crashed slots arrive uncommitted and cover
+    nobody.
     """
-    n = network.n
-    selected = _selected_flags(n, node_values)
-    if _independence_violated(network, selected):
-        return ValidationResult(False, "selected set is not independent")
-    indptr = network.indptr
-    indices = network.indices
-    for v in range(n):
-        if selected[v]:
-            continue
-        for k in range(indptr[v], indptr[v + 1]):
-            if selected[indices[k]]:
-                break
-        else:
-            return ValidationResult(False, f"node {v} is uncovered (not maximal)")
-    return ValidationResult(True)
-
-
-def csr_is_ruling_set(
-    network: Any, node_values: Sequence[Any], alpha: int, beta: int
-) -> ValidationResult:
-    """CSR-native :func:`is_ruling_set`: array-stamped BFS, no dict frontiers."""
-    n = network.n
-    member_flags = _selected_flags(n, node_values)
-    members = [v for v in range(n) if member_flags[v]]
-    if not members and n > 0:
-        return ValidationResult(False, "ruling set is empty")
-    indptr = network.indptr
-    indices = network.indices
-    # Domination: BFS from all members simultaneously up to depth beta.
-    covered = bytearray(n)
-    for v in members:
-        covered[v] = 1
-    frontier = list(members)
-    reached = len(members)
-    depth = 0
-    while frontier and depth < beta:
-        depth += 1
-        new_frontier: List[int] = []
-        for v in frontier:
-            for k in range(indptr[v], indptr[v + 1]):
-                u = indices[k]
-                if not covered[u]:
-                    covered[u] = 1
-                    new_frontier.append(u)
-        reached += len(new_frontier)
-        frontier = new_frontier
-    if reached < n:
-        uncovered = [v for v in range(n) if not covered[v]]
-        return ValidationResult(
-            False,
-            f"{len(uncovered)} nodes (e.g. {uncovered[:5]}) have no ruler within distance {beta}",
+    us, vs = network.edge_endpoints()
+    selected = committed & _truthy(values)
+    clash = alive[us] & alive[vs] & selected[us] & selected[vs]
+    if clash.any():
+        i = _first(clash)
+        return _fail(
+            alive, f"edge ({us[i]}, {vs[i]}) has both endpoints selected (not independent)"
         )
-    # Independence at distance alpha: BFS from each member up to depth
-    # alpha-1.  A shared stamp array replaces the per-member visited dict so
-    # the total cost is the BFS work itself, not O(n) re-zeroing per member.
-    stamps = [0] * n
-    token = 0
-    for s in members:
-        token += 1
-        stamps[s] = token
-        frontier = [s]
-        for d in range(1, alpha):
-            nxt: List[int] = []
-            for v in frontier:
-                for k in range(indptr[v], indptr[v + 1]):
-                    u = indices[k]
-                    if stamps[u] != token:
-                        stamps[u] = token
-                        nxt.append(u)
-                        if member_flags[u] and u != s:
-                            return ValidationResult(
-                                False,
-                                f"rulers {s} and {u} are at distance {d} < {alpha}",
-                            )
-            frontier = nxt
+    covered = selected.copy()
+    covered[us[selected[vs]]] = True
+    covered[vs[selected[us]]] = True
+    uncovered = alive & ~covered
+    if uncovered.any():
+        return _fail(alive, f"node {_first(uncovered)} is uncovered (not maximal)")
     return ValidationResult(True)
 
 
-def csr_is_surviving_ruling_set(
+def _ruling_set_kernel(
     network: Any,
-    node_values: Sequence[Any],
-    crashed: "frozenset[int]",
+    values: Any,
+    committed: np.ndarray,
+    alive: np.ndarray,
+    strict: bool,
+    *,
     alpha: int,
     beta: int,
 ) -> ValidationResult:
-    """``(α, β)``-ruling set scored on the surviving subgraph after crashes.
+    """``(α, β)``-ruling set, as breadth-first sweeps over the endpoint arrays.
 
-    * every survivor must have committed (checked by the caller; crashed
-      nodes are excused),
-    * **independence** is required between *surviving* rulers only, at
-      distance ≥ α measured through surviving vertices — paths through a
-      corpse no longer exist, so they cannot bring two live rulers "close",
-    * **domination**: every surviving non-member needs a committed ruler
-      within distance ≤ β, where the ruler itself may be crashed (its
-      commitment stands — the survivor retired because of it, exactly the
-      crash-stop concession :func:`csr_is_surviving_mis` makes for
-      coverage) but every *relay* vertex on the path must be alive: coverage
-      is a property of the current surviving configuration, not of paths
-      that died with their relays.
+    * **domination**: every survivor needs a committed ruler within
+      distance ≤ β.  Under ``strict=False`` the ruler may have crashed (its
+      commitment stands — the survivor retired because of it, the
+      concession the MIS kernel makes for coverage), but every *relay* on
+      the path must be alive: coverage is a property of the surviving
+      configuration, not of paths that died with their relays;
+    * **independence**: surviving rulers must be at distance ≥ α measured
+      through survivors — paths through a corpse no longer exist.  Each
+      ruler grows a territory up to α − 2 hops; territories of two rulers
+      meeting across an edge within α − 1 hops in all witness a pair closer
+      than α, and every such pair is witnessed along its shortest path.
     """
     n = network.n
-    member_flags = _selected_flags(n, node_values)
-    alive = bytearray(1 for _ in range(n))
-    for v in crashed:
-        alive[v] = 0
-    members = [v for v in range(n) if member_flags[v]]
-    if not any(alive[v] for v in range(n)):
+    rulers = committed & _truthy(values)
+    if not alive.any():
         return ValidationResult(True)
-    if not members:
+    if not rulers.any():
         return ValidationResult(False, "ruling set is empty")
-    indptr = network.indptr
-    indices = network.indices
-    # Domination: BFS from every committed member (alive or crashed), but
-    # only alive vertices relay the frontier onward.
-    covered = bytearray(n)
-    for v in members:
-        covered[v] = 1
-    frontier = list(members)
-    depth = 0
-    while frontier and depth < beta:
-        depth += 1
-        new_frontier: List[int] = []
-        for v in frontier:
-            for k in range(indptr[v], indptr[v + 1]):
-                u = indices[k]
-                if not covered[u]:
-                    covered[u] = 1
-                    if alive[u]:
-                        new_frontier.append(u)
-        frontier = new_frontier
-    uncovered = [v for v in range(n) if alive[v] and not covered[v]]
-    if uncovered:
-        return ValidationResult(
-            False,
-            f"{len(uncovered)} surviving nodes (e.g. {uncovered[:5]}) have no "
+    us, vs = network.edge_endpoints()
+    covered = rulers.copy()
+    frontier = rulers
+    for _ in range(beta):
+        reached = np.zeros(n, dtype=bool)
+        reached[vs[frontier[us]]] = True
+        reached[us[frontier[vs]]] = True
+        frontier = reached & ~covered
+        covered |= frontier
+        frontier &= alive
+        if not frontier.any():
+            break
+    uncovered = np.flatnonzero(alive & ~covered)
+    if uncovered.size:
+        return _fail(
+            alive,
+            f"nodes {uncovered[:5].tolist()} ({uncovered.size} in all) have no "
             f"ruler within distance {beta}",
         )
-    # Independence between surviving rulers, through surviving vertices only.
-    surviving_members = [v for v in members if alive[v]]
-    stamps = [0] * n
-    token = 0
-    for s in surviving_members:
-        token += 1
-        stamps[s] = token
-        frontier = [s]
-        for d in range(1, alpha):
-            nxt: List[int] = []
-            for v in frontier:
-                for k in range(indptr[v], indptr[v + 1]):
-                    u = indices[k]
-                    if alive[u] and stamps[u] != token:
-                        stamps[u] = token
-                        nxt.append(u)
-                        if member_flags[u] and u != s:
-                            return ValidationResult(
-                                False,
-                                f"surviving rulers {s} and {u} are at distance {d} < {alpha}",
-                            )
-            frontier = nxt
-    return ValidationResult(True)
-
-
-def csr_is_surviving_mis(
-    network: Any, node_values: Sequence[Any], crashed: "frozenset[int]"
-) -> ValidationResult:
-    """MIS scored on the surviving subgraph after crash-stop faults.
-
-    * every survivor must have committed (checked by the caller,
-      :meth:`ProblemSpec.validate_surviving`; crashed nodes are excused),
-    * independence is required on **survivor–survivor** edges only (a
-      survivor may legitimately sit next to a crashed ``True`` node it
-      never heard retire),
-    * a ``False`` survivor is covered iff *some* neighbour — surviving or
-      crashed — committed ``True``.  This is exact for crash-stop faults:
-      any neighbour that caused a ``False`` commit had itself committed
-      ``True`` before announcing, so counting committed-``True`` crashed
-      neighbours repairs maximality precisely.
-    """
-    n = network.n
-    selected = _selected_flags(n, node_values)
-    endpoints = getattr(network, "edge_endpoints", None)
-    if endpoints is not None and network.m:
-        import numpy as np
-
-        us, vs = endpoints()
-        flags = np.frombuffer(selected, dtype=np.uint8).astype(bool)
-        alive = np.ones(n, dtype=bool)
-        alive[list(crashed)] = False
-        bad = flags[us] & flags[vs] & alive[us] & alive[vs]
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            return ValidationResult(
-                False,
-                f"surviving edge ({int(us[i])}, {int(vs[i])}) has both endpoints selected",
-            )
-    else:
-        for u, v in network.edges:
-            if selected[u] and selected[v] and u not in crashed and v not in crashed:
-                return ValidationResult(
-                    False, f"surviving edge ({u}, {v}) has both endpoints selected"
-                )
-    indptr = network.indptr
-    indices = network.indices
-    for v in range(n):
-        if selected[v] or v in crashed:
-            continue
-        for k in range(indptr[v], indptr[v + 1]):
-            if selected[indices[k]]:
-                break
-        else:
-            return ValidationResult(
-                False, f"surviving node {v} is uncovered (not maximal)"
-            )
-    return ValidationResult(True)
-
-
-def csr_is_induced_mis(
-    network: Any, node_values: Any, node_committed: Any, crashed: "frozenset[int]"
-) -> ValidationResult:
-    """MIS strictly validated on the induced survivor subgraph, vectorised.
-
-    Verdict-identical to rebuilding ``network.subnetwork(survivors)`` and
-    re-validating (the :meth:`ProblemSpec.validate_induced` fallback), but
-    expressed as a handful of fancy-indexed array operations over the
-    endpoint arrays — no subnetwork, no relabel dicts, no per-node loop:
-
-    * crashed commitments are discarded (a dead ``True`` covers nobody),
-    * every survivor must have committed,
-    * independence is required over alive–alive edges,
-    * every unselected survivor needs an alive selected neighbour.
-    """
-    import numpy as np
-
-    n = network.n
-    alive = np.ones(n, dtype=bool)
-    if crashed:
-        alive[list(crashed)] = False
-    committed = np.asarray(node_committed, dtype=bool)
-    missing = alive & ~committed
-    if missing.any():
-        bad = np.flatnonzero(missing)[:5].tolist()
-        return ValidationResult(False, f"missing node outputs for survivors {bad}")
-    selected = alive & committed & np.asarray(node_values, dtype=bool)
-    us, vs = network.edge_endpoints()
-    us = np.asarray(us)
-    vs = np.asarray(vs)
     live = alive[us] & alive[vs]
-    conflict = live & selected[us] & selected[vs]
-    if conflict.any():
-        i = int(np.flatnonzero(conflict)[0])
-        return ValidationResult(
-            False,
-            f"surviving edge ({int(us[i])}, {int(vs[i])}) has both endpoints selected",
-        )
-    covered = np.zeros(n, dtype=bool)
-    covered[us[live & selected[vs]]] = True
-    covered[vs[live & selected[us]]] = True
-    uncovered = alive & ~selected & ~covered
-    if uncovered.any():
-        v = int(np.flatnonzero(uncovered)[0])
-        return ValidationResult(
-            False, f"surviving node {v} is uncovered (not maximal)"
+    owner = np.where(rulers & alive, np.arange(n), -1)
+    hops = np.where(owner >= 0, 0, -1)
+    frontier = owner >= 0
+    for depth in range(1, alpha - 1):
+        grow = live & frontier[us] & (owner[vs] < 0)
+        owner[vs[grow]] = owner[us[grow]]
+        grow = live & frontier[vs] & (owner[us] < 0)
+        owner[us[grow]] = owner[vs[grow]]
+        frontier = (owner >= 0) & (hops < 0)
+        hops[frontier] = depth
+        if not frontier.any():
+            break
+    span = hops[us] + hops[vs] + 1
+    close = live & (owner[us] >= 0) & (owner[vs] >= 0) & (owner[us] != owner[vs])
+    close &= span < alpha
+    if close.any():
+        i = _first(close)
+        return _fail(
+            alive,
+            f"rulers {owner[us[i]]} and {owner[vs[i]]} are within distance "
+            f"{span[i]} < {alpha}",
         )
     return ValidationResult(True)
 
@@ -910,43 +626,12 @@ def _mis_validator(
     return is_maximal_independent_set(graph, node_outputs)
 
 
-def _mis_csr_validator(
-    network: Any,
-    node_values: Sequence[Any],
-    _edge_values: Sequence[Any],
-    _strays: Sequence[Tuple[Edge, Any]],
-) -> ValidationResult:
-    return csr_is_maximal_independent_set(network, node_values)
-
-
-def _mis_surviving_validator(
-    network: Any,
-    node_values: Sequence[Any],
-    _edge_values: Sequence[Any],
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_surviving_mis(network, node_values, crashed)
-
-
-def _mis_induced_validator(
-    network: Any,
-    node_values: Any,
-    node_committed: Any,
-    _edge_values: Any,
-    _edge_committed: Any,
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_induced_mis(network, node_values, node_committed, crashed)
-
-
 MIS = ProblemSpec(
     name="maximal-independent-set",
     labels_nodes=True,
     labels_edges=False,
     validator=_mis_validator,
-    csr_validator=_mis_csr_validator,
-    surviving_validator=_mis_surviving_validator,
-    induced_validator=_mis_induced_validator,
+    kernel=_mis_kernel,
 )
 
 
@@ -960,30 +645,13 @@ def ruling_set(alpha: int, beta: int) -> ProblemSpec:
     ) -> ValidationResult:
         return is_ruling_set(graph, node_outputs, alpha, beta)
 
-    def _csr_validator(
-        network: Any,
-        node_values: Sequence[Any],
-        _edge_values: Sequence[Any],
-        _strays: Sequence[Tuple[Edge, Any]],
-    ) -> ValidationResult:
-        return csr_is_ruling_set(network, node_values, alpha, beta)
-
-    def _surviving_validator(
-        network: Any,
-        node_values: Sequence[Any],
-        _edge_values: Sequence[Any],
-        crashed: "frozenset[int]",
-    ) -> ValidationResult:
-        return csr_is_surviving_ruling_set(network, node_values, crashed, alpha, beta)
-
     return ProblemSpec(
         name=f"({alpha},{beta})-ruling-set",
         labels_nodes=True,
         labels_edges=False,
         validator=_validator,
         params={"alpha": alpha, "beta": beta},
-        csr_validator=_csr_validator,
-        surviving_validator=_surviving_validator,
+        kernel=partial(_ruling_set_kernel, alpha=alpha, beta=beta),
     )
 
 
@@ -1017,137 +685,40 @@ def is_maximal_matching(graph: nx.Graph, edge_outputs: Mapping[Edge, Any]) -> Va
         if value:
             matched_nodes.add(u)
             matched_nodes.add(v)
+    # repro-lint: allow[REP002] reference validator, runs on an nx graph
     for u, v in graph.edges():
         if u not in matched_nodes and v not in matched_nodes:
             return ValidationResult(False, f"edge ({u}, {v}) could be added (not maximal)")
     return ValidationResult(True)
 
 
-def csr_is_matching(network: Any, edge_values: Sequence[Any]) -> bool:
-    """CSR-native :func:`is_matching` (edge slots in ``network.edges`` order)."""
-    matched = bytearray(network.n)
-    for i, (u, v) in enumerate(network.edges):
-        value = edge_values[i]
-        if value is MISSING or not value:
-            continue
-        if matched[u] or matched[v]:
-            return False
-        matched[u] = 1
-        matched[v] = 1
-    return True
-
-
-def csr_is_maximal_matching(
-    network: Any,
-    edge_values: Sequence[Any],
-    stray_edges: Sequence[Tuple[Edge, Any]] = (),
+def _matching_kernel(
+    network: Any, values: Any, committed: np.ndarray, alive: np.ndarray, strict: bool
 ) -> ValidationResult:
-    """CSR-native :func:`is_maximal_matching`.
+    """Maximal matching.
 
-    ``stray_edges`` carries entries of a mapping input that were not edges of
-    the network; a truthy stray reproduces the reference "matched edge is not
-    in the graph" failure.
+    At most one selected edge per node, crashed nodes included: under
+    ``strict=False`` a crashed node cannot be matched twice either (its
+    surviving partners both believe the match).  An unselected
+    survivor–survivor edge needs an endpoint matched by *some* selected
+    edge — under ``strict=False`` possibly one towards a crashed node (the
+    match happened before the partner died; that does not free the
+    surviving endpoint).
     """
-    for (u, v), value in stray_edges:
-        if value:
-            return ValidationResult(False, f"matched edge ({u}, {v}) is not in the graph")
-    matched = bytearray(network.n)
-    edges = network.edges
-    for i, (u, v) in enumerate(edges):
-        value = edge_values[i]
-        if value is MISSING or not value:
-            continue
-        if matched[u] or matched[v]:
-            return ValidationResult(False, "selected edges are not a matching")
-        matched[u] = 1
-        matched[v] = 1
-    for u, v in edges:
-        if not matched[u] and not matched[v]:
-            return ValidationResult(False, f"edge ({u}, {v}) could be added (not maximal)")
-    return ValidationResult(True)
-
-
-def csr_is_surviving_maximal_matching(
-    network: Any, edge_values: Sequence[Any], crashed: "frozenset[int]"
-) -> ValidationResult:
-    """Maximal matching scored on the surviving subgraph after crashes.
-
-    * every survivor–survivor edge must have committed (checked by the
-      caller; edges with a crashed endpoint are excused),
-    * the matching constraint (≤ 1 incident ``True`` edge) is enforced for
-      **all** nodes over all ``True`` edges — a crashed node cannot be
-      matched twice either, its surviving partners both believe the match,
-    * a ``False`` survivor–survivor edge is justified iff one endpoint is
-      matched via *some* ``True`` edge, possibly towards a crashed node
-      (the match happened before the partner died; that does not free the
-      surviving endpoint).
-    """
-    matched = bytearray(network.n)
-    edges = network.edges
-    for i, (u, v) in enumerate(edges):
-        value = edge_values[i]
-        if value is MISSING or not value:
-            continue
-        if matched[u] or matched[v]:
-            return ValidationResult(False, "selected edges are not a matching")
-        matched[u] = 1
-        matched[v] = 1
-    for i, (u, v) in enumerate(edges):
-        if u in crashed or v in crashed:
-            continue
-        if not matched[u] and not matched[v]:
-            return ValidationResult(
-                False, f"surviving edge ({u}, {v}) could be added (not maximal)"
-            )
-    return ValidationResult(True)
-
-
-def csr_is_induced_maximal_matching(
-    network: Any, edge_values: Any, edge_committed: Any, crashed: "frozenset[int]"
-) -> ValidationResult:
-    """Maximal matching strictly validated on the induced survivor subgraph.
-
-    The vectorised twin of re-validating on ``network.subnetwork``
-    (:meth:`ProblemSpec.validate_induced` fallback): commitments on edges
-    with a crashed endpoint are discarded, every alive–alive edge must have
-    committed, the selected alive–alive edges must form a matching, and
-    every unselected alive–alive edge needs an endpoint matched by a
-    selected alive–alive edge.
-    """
-    import numpy as np
-
     n = network.n
-    alive = np.ones(n, dtype=bool)
-    if crashed:
-        alive[list(crashed)] = False
     us, vs = network.edge_endpoints()
-    us = np.asarray(us)
-    vs = np.asarray(vs)
-    live = alive[us] & alive[vs]
-    committed = np.asarray(edge_committed, dtype=bool)
-    missing = live & ~committed
-    if missing.any():
-        i = int(np.flatnonzero(missing)[0])
+    selected = committed & _truthy(values)
+    load = np.bincount(us[selected], minlength=n) + np.bincount(vs[selected], minlength=n)
+    if (load > 1).any():
+        v = _first(load > 1)
         return ValidationResult(
-            False,
-            f"missing edge outputs for surviving edges "
-            f"[({int(us[i])}, {int(vs[i])})]",
+            False, f"selected edges are not a matching (node {v} is matched {load[v]} times)"
         )
-    selected = live & committed & np.asarray(edge_values, dtype=bool)
-    matched_degree = np.bincount(us[selected], minlength=n) + np.bincount(
-        vs[selected], minlength=n
-    )
-    if (matched_degree > 1).any():
-        return ValidationResult(False, "selected edges are not a matching")
-    matched = matched_degree > 0
-    addable = live & ~selected & ~matched[us] & ~matched[vs]
+    matched = load > 0
+    addable = alive[us] & alive[vs] & ~matched[us] & ~matched[vs]
     if addable.any():
-        i = int(np.flatnonzero(addable)[0])
-        return ValidationResult(
-            False,
-            f"surviving edge ({int(us[i])}, {int(vs[i])}) could be added "
-            f"(not maximal)",
-        )
+        i = _first(addable)
+        return _fail(alive, f"edge ({us[i]}, {vs[i]}) could be added (not maximal)")
     return ValidationResult(True)
 
 
@@ -1157,43 +728,12 @@ def _matching_validator(
     return is_maximal_matching(graph, edge_outputs)
 
 
-def _matching_csr_validator(
-    network: Any,
-    _node_values: Sequence[Any],
-    edge_values: Sequence[Any],
-    stray_edges: Sequence[Tuple[Edge, Any]],
-) -> ValidationResult:
-    return csr_is_maximal_matching(network, edge_values, stray_edges)
-
-
-def _matching_surviving_validator(
-    network: Any,
-    _node_values: Sequence[Any],
-    edge_values: Sequence[Any],
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_surviving_maximal_matching(network, edge_values, crashed)
-
-
-def _matching_induced_validator(
-    network: Any,
-    _node_values: Any,
-    _node_committed: Any,
-    edge_values: Any,
-    edge_committed: Any,
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_induced_maximal_matching(network, edge_values, edge_committed, crashed)
-
-
 MAXIMAL_MATCHING = ProblemSpec(
     name="maximal-matching",
     labels_nodes=False,
     labels_edges=True,
     validator=_matching_validator,
-    csr_validator=_matching_csr_validator,
-    surviving_validator=_matching_surviving_validator,
-    induced_validator=_matching_induced_validator,
+    kernel=_matching_kernel,
 )
 
 
@@ -1206,6 +746,7 @@ def is_proper_coloring(
     graph: nx.Graph, node_outputs: Mapping[int, Any], num_colors: Optional[int] = None
 ) -> ValidationResult:
     """Check a proper vertex colouring, optionally bounding the palette size."""
+    # repro-lint: allow[REP002] reference validator, runs on an nx graph
     for u, v in graph.edges():
         if node_outputs.get(u) == node_outputs.get(v):
             return ValidationResult(False, f"edge ({u}, {v}) is monochromatic")
@@ -1219,63 +760,35 @@ def is_proper_coloring(
     return ValidationResult(True)
 
 
-def csr_is_proper_coloring(
-    network: Any, node_values: Sequence[Any], num_colors: Optional[int] = None
+def _coloring_kernel(
+    network: Any,
+    values: Any,
+    committed: np.ndarray,
+    alive: np.ndarray,
+    strict: bool,
+    *,
+    num_colors: Optional[int],
 ) -> ValidationResult:
-    """CSR-native :func:`is_proper_coloring` (slot-sequence input).
+    """Proper colouring with palette ``[0, num_colors)``.
 
-    Mirrors the reference semantics for partial assignments: two endpoints
-    that are both missing compare equal (as two ``None`` defaults do on the
-    networkx path) and hence flag the edge as monochromatic.
+    Colours compare with Python ``==``, as in the reference.  Only
+    survivor–survivor edges can be monochromatic (a clash against a corpse
+    constrains nobody), and the palette binds the colours survivors use;
+    a palette colour is a Python ``int`` in range (the reference's
+    ``isinstance`` rule).
     """
-    for u, v in network.edges:
-        if node_values[u] == node_values[v]:
-            return ValidationResult(False, f"edge ({u}, {v}) is monochromatic")
+    us, vs = network.edge_endpoints()
+    colours = _objects(values)
+    clash = alive[us] & alive[vs] & (colours[us] == colours[vs])
+    if clash.any():
+        i = _first(clash)
+        return _fail(alive, f"edge ({us[i]}, {vs[i]}) is monochromatic")
     if num_colors is not None:
-        used = set(node_values)
+        used = set(colours[alive & committed].tolist())
         bad = [c for c in used if not (isinstance(c, int) and 0 <= c < num_colors)]
         if bad:
             return ValidationResult(
                 False, f"colours {bad[:5]} are outside the allowed palette [0, {num_colors})"
-            )
-    return ValidationResult(True)
-
-
-def csr_is_surviving_coloring(
-    network: Any,
-    node_values: Sequence[Any],
-    crashed: "frozenset[int]",
-    num_colors: Optional[int] = None,
-) -> ValidationResult:
-    """Proper colouring scored on the surviving subgraph after crashes.
-
-    * every survivor must have committed (checked by the caller; crashed
-      nodes are excused),
-    * the monochromatic check runs on **survivor–survivor** edges only — a
-      colour clash against a corpse constrains nobody (the edge is gone from
-      the surviving subgraph),
-    * the palette bound applies to the colours survivors actually use;
-      whatever a crashed node committed before dying is not held against the
-      configuration.
-    """
-    for u, v in network.edges:
-        if u in crashed or v in crashed:
-            continue
-        if node_values[u] == node_values[v]:
-            return ValidationResult(
-                False, f"surviving edge ({u}, {v}) is monochromatic"
-            )
-    if num_colors is not None:
-        used = {
-            node_values[v]
-            for v in range(network.n)
-            if v not in crashed and node_values[v] is not MISSING
-        }
-        bad = [c for c in used if not (isinstance(c, int) and 0 <= c < num_colors)]
-        if bad:
-            return ValidationResult(
-                False,
-                f"colours {bad[:5]} are outside the allowed palette [0, {num_colors})",
             )
     return ValidationResult(True)
 
@@ -1288,22 +801,6 @@ def coloring(num_colors: Optional[int] = None, name: Optional[str] = None) -> Pr
     ) -> ValidationResult:
         return is_proper_coloring(graph, node_outputs, num_colors)
 
-    def _csr_validator(
-        network: Any,
-        node_values: Sequence[Any],
-        _edge_values: Sequence[Any],
-        _strays: Sequence[Tuple[Edge, Any]],
-    ) -> ValidationResult:
-        return csr_is_proper_coloring(network, node_values, num_colors)
-
-    def _surviving_validator(
-        network: Any,
-        node_values: Sequence[Any],
-        _edge_values: Sequence[Any],
-        crashed: "frozenset[int]",
-    ) -> ValidationResult:
-        return csr_is_surviving_coloring(network, node_values, crashed, num_colors)
-
     label = name or (f"{num_colors}-coloring" if num_colors is not None else "coloring")
     return ProblemSpec(
         name=label,
@@ -1311,8 +808,7 @@ def coloring(num_colors: Optional[int] = None, name: Optional[str] = None) -> Pr
         labels_edges=False,
         validator=_validator,
         params={"num_colors": num_colors},
-        csr_validator=_csr_validator,
-        surviving_validator=_surviving_validator,
+        kernel=partial(_coloring_kernel, num_colors=num_colors),
     )
 
 
@@ -1347,85 +843,49 @@ def is_sinkless_orientation(
     return ValidationResult(True)
 
 
-def csr_is_sinkless_orientation(
+def _sinkless_orientation_kernel(
     network: Any,
-    edge_values: Sequence[Any],
-    stray_edges: Sequence[Tuple[Edge, Any]] = (),
+    values: Any,
+    committed: np.ndarray,
+    alive: np.ndarray,
+    strict: bool,
     min_degree: int = 3,
 ) -> ValidationResult:
-    """CSR-native :func:`is_sinkless_orientation`.
+    """Sinkless orientation: ``values`` are the heads of the edges.
 
-    Degrees come straight from the CSR row pointers; only an "has an outgoing
-    edge" flag is tracked per node (the sink check needs nothing more).
-    """
-    if stray_edges:
-        (u, v), _ = stray_edges[0]
-        return ValidationResult(False, f"oriented edge ({u}, {v}) is not in the graph")
-    n = network.n
-    has_out = bytearray(n)
-    for i, (u, v) in enumerate(network.edges):
-        head = edge_values[i]
-        if head is MISSING:
-            continue
-        if head == v:
-            has_out[u] = 1
-        elif head == u:
-            has_out[v] = 1
-        else:
-            return ValidationResult(
-                False, f"edge ({u}, {v}) oriented towards {head}, which is not an endpoint"
-            )
-    indptr = network.indptr
-    for v in range(n):
-        degree = indptr[v + 1] - indptr[v]
-        if degree >= min_degree and not has_out[v]:
-            return ValidationResult(False, f"node {v} (degree {degree}) is a sink")
-    return ValidationResult(True)
-
-
-def csr_is_surviving_sinkless_orientation(
-    network: Any,
-    edge_values: Sequence[Any],
-    crashed: "frozenset[int]",
-    min_degree: int = 3,
-) -> ValidationResult:
-    """Sinkless orientation scored on the surviving subgraph after crashes.
-
-    * every survivor–survivor edge must have committed (checked by the
-      caller; edges with a crashed endpoint are excused),
-    * committed orientations must still point at an endpoint of their edge,
-      wherever they sit — a malformed head is a bug, not a casualty,
-    * the sink check applies to surviving nodes whose **original** degree is
-      ≥ ``min_degree`` (the paper poses the problem for minimum degree ≥ 3;
-      a crash does not re-pose it), and an outgoing edge whose head has
-      since crashed still counts: under crash-stop the edge physically
-      remains, the orientation was committed while both endpoints ran, and
-      the tail is no sink along it.
+    Every committed head must be an endpoint of its edge, wherever the edge
+    sits — a malformed head is a bug, not a casualty.  A survivor of degree
+    ≥ ``min_degree`` needs an outgoing edge.  Under ``strict=False`` the
+    degree is the **original** one (the paper poses the problem for minimum
+    degree ≥ 3; a crash does not re-pose it) and an outgoing edge whose head
+    has since crashed still counts: under crash-stop the edge physically
+    remains and the tail is no sink along it.  Under ``strict`` both the
+    degree and the out-edges are those of the induced survivor subgraph.
     """
     n = network.n
-    has_out = bytearray(n)
-    for i, (u, v) in enumerate(network.edges):
-        head = edge_values[i]
-        if head is MISSING:
-            continue
-        if head == v:
-            has_out[u] = 1
-        elif head == u:
-            has_out[v] = 1
-        else:
-            return ValidationResult(
-                False,
-                f"edge ({u}, {v}) oriented towards {head}, which is not an endpoint",
-            )
-    indptr = network.indptr
-    for v in range(n):
-        if v in crashed:
-            continue
-        degree = indptr[v + 1] - indptr[v]
-        if degree >= min_degree and not has_out[v]:
-            return ValidationResult(
-                False, f"surviving node {v} (degree {degree}) is a sink"
-            )
+    us, vs = network.edge_endpoints()
+    heads = _objects(values)
+    towards_v = committed & (heads == vs)
+    towards_u = committed & ~towards_v & (heads == us)
+    astray = committed & ~towards_v & ~towards_u
+    if astray.any():
+        i = _first(astray)
+        return ValidationResult(
+            False,
+            f"edge ({us[i]}, {vs[i]}) oriented towards {heads[i]}, which is not an endpoint",
+        )
+    has_out = np.zeros(n, dtype=bool)
+    has_out[us[towards_v]] = True
+    has_out[vs[towards_u]] = True
+    if strict:
+        live = alive[us] & alive[vs]
+        degree = np.bincount(us[live], minlength=n) + np.bincount(vs[live], minlength=n)
+    else:
+        degree = np.diff(np.asarray(network.indptr))
+    sinks = alive & (degree >= min_degree) & ~has_out
+    if sinks.any():
+        v = _first(sinks)
+        return _fail(alive, f"node {v} (degree {degree[v]}) is a sink")
     return ValidationResult(True)
 
 
@@ -1435,29 +895,10 @@ def _sinkless_validator(
     return is_sinkless_orientation(graph, edge_outputs)
 
 
-def _sinkless_csr_validator(
-    network: Any,
-    _node_values: Sequence[Any],
-    edge_values: Sequence[Any],
-    stray_edges: Sequence[Tuple[Edge, Any]],
-) -> ValidationResult:
-    return csr_is_sinkless_orientation(network, edge_values, stray_edges)
-
-
-def _sinkless_surviving_validator(
-    network: Any,
-    _node_values: Sequence[Any],
-    edge_values: Sequence[Any],
-    crashed: "frozenset[int]",
-) -> ValidationResult:
-    return csr_is_surviving_sinkless_orientation(network, edge_values, crashed)
-
-
 SINKLESS_ORIENTATION = ProblemSpec(
     name="sinkless-orientation",
     labels_nodes=False,
     labels_edges=True,
     validator=_sinkless_validator,
-    csr_validator=_sinkless_csr_validator,
-    surviving_validator=_sinkless_surviving_validator,
+    kernel=_sinkless_orientation_kernel,
 )

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import ValidationFailed
-from repro.core.problems import MISSING, ProblemSpec, ValidationResult
+from repro.core.problems import ProblemSpec, ValidationResult
 
 __all__ = ["ExecutionTrace"]
 
@@ -47,6 +47,15 @@ Edge = Tuple[int, int]
 def _new_round_array(length: int) -> array:
     """A length-``length`` int64 array of ``-1`` ("never committed")."""
     return array("q", [-1]) * length
+
+
+def _slot_outputs(
+    values: Optional[Tuple[Any, ...]], rounds: Optional[array], mapping: Any
+) -> Tuple[Any, Optional[np.ndarray]]:
+    """``(outputs, committed)`` of one side: the slot arrays, or the canonical dict."""
+    if values is None:
+        return mapping, None
+    return values, np.frombuffer(rounds, dtype=np.int64) >= 0
 
 
 class ExecutionTrace:
@@ -310,30 +319,6 @@ class ExecutionTrace:
             self._edge_rounds = arr
         return self._edge_rounds
 
-    def _node_value_slots(self) -> List[Any]:
-        """Per-vertex output values, ``MISSING`` where never committed."""
-        if self._node_values is not None:
-            rounds_arr = self._node_rounds
-            values = self._node_values
-            return [
-                values[v] if rounds_arr[v] >= 0 else MISSING for v in range(len(values))
-            ]
-        mapping = self._node_outputs
-        get = mapping.get
-        return [get(v, MISSING) for v in range(self.network.n)]
-
-    def _edge_value_slots(self) -> List[Any]:
-        """Per-edge output values in ``network.edges`` order, ``MISSING`` where absent."""
-        if self._edge_values is not None:
-            rounds_arr = self._edge_rounds
-            values = self._edge_values
-            return [
-                values[i] if rounds_arr[i] >= 0 else MISSING for i in range(len(values))
-            ]
-        mapping = self._edge_outputs
-        get = mapping.get
-        return [get(e, MISSING) for e in self.network.edges]
-
     # ------------------------------------------------------------------ #
     # Completion times (Definition 1 semantics)
     # ------------------------------------------------------------------ #
@@ -389,14 +374,6 @@ class ExecutionTrace:
         rounds = np.frombuffer(self.edge_commit_rounds(), dtype=np.int64)
         return np.where(rounds >= 0, rounds, self.rounds)
 
-    def _endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Edge endpoint arrays ``(us, vs)`` aligned with the edge slots."""
-        endpoints = getattr(self.network, "edge_endpoints", None)
-        if endpoints is not None:
-            return endpoints()
-        pairs = np.asarray(self.network.edges, dtype=np.int64).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1]
-
     def node_completion_array(self) -> np.ndarray:
         """Vectorised :meth:`node_completion_times`: an int64 numpy array.
 
@@ -414,7 +391,7 @@ class ExecutionTrace:
                 acc = np.zeros(n, dtype=np.int64)
             if labels_edges:
                 edge_times = self._edge_rounds_np()
-                us, vs = self._endpoint_arrays()
+                us, vs = self.network.edge_endpoints()
                 np.maximum.at(acc, us, edge_times)
                 np.maximum.at(acc, vs, edge_times)
             acc.setflags(write=False)
@@ -433,7 +410,7 @@ class ExecutionTrace:
                 acc = np.zeros(m, dtype=np.int64)
             if labels_nodes:
                 node_rounds = self._node_rounds_np()
-                us, vs = self._endpoint_arrays()
+                us, vs = self.network.edge_endpoints()
                 np.maximum(acc, node_rounds[us], out=acc)
                 np.maximum(acc, node_rounds[vs], out=acc)
             acc.setflags(write=False)
@@ -470,27 +447,27 @@ class ExecutionTrace:
     def validate(self) -> ValidationResult:
         """Check the committed outputs against the problem specification.
 
-        Uses the CSR-native fast path (:meth:`ProblemSpec.validate_network`)
-        when both the network and the problem support it — the topology is
-        never exported back to networkx on this path.  Executions with
-        crash-stop faults (:attr:`crashed` non-empty) are scored on the
-        surviving subgraph via :meth:`ProblemSpec.validate_surviving`.
+        The trace's per-slot value and round arrays go to the problem's
+        array kernel as ``(values, committed)`` pairs (dict-built traces
+        pass their mappings); the topology is never exported to networkx.
+        Executions with crash-stop faults (:attr:`crashed` non-empty) are
+        scored on the surviving subgraph
+        (:meth:`ProblemSpec.validate_surviving`).
         """
-        network = self.network
-        problem = self.problem
-        if self.crashed and hasattr(problem, "validate_surviving"):
-            return problem.validate_surviving(
-                network,
-                self._node_value_slots(),
-                self._edge_value_slots(),
-                self.crashed,
-            )
-        if hasattr(problem, "validate_network") and hasattr(network, "indptr"):
-            return problem.validate_network(
-                network, self._node_value_slots(), self._edge_value_slots()
-            )
-        graph = network.to_networkx()
-        return problem.validate(graph, self.node_outputs, self.edge_outputs)
+        node_outputs, node_committed = _slot_outputs(
+            self._node_values, self._node_rounds, self._node_outputs
+        )
+        edge_outputs, edge_committed = _slot_outputs(
+            self._edge_values, self._edge_rounds, self._edge_outputs
+        )
+        return self.problem.validate_surviving(
+            self.network,
+            node_outputs,
+            edge_outputs,
+            self.crashed,
+            node_committed=node_committed,
+            edge_committed=edge_committed,
+        )
 
     def require_valid(self) -> "ExecutionTrace":
         """Raise :class:`ValidationFailed` unless the outputs are valid.

@@ -144,6 +144,7 @@ _HOT_PATH_MODULES = {
     "repro/local/engine.py",
     "repro/local/runner.py",
     "repro/core/metrics.py",
+    "repro/core/problems.py",
     "repro/graphs/edgelist.py",
 }
 
@@ -184,40 +185,46 @@ class HotPathRule(Rule):
                 isinstance(node.func, ast.Name)
                 and node.func.id in {"list", "tuple", "sorted"}
                 and len(node.args) == 1
-                and self._is_edges_call(node.args[0])
+                and self._iterates_edges(node.args[0])
             ):
                 yield module.finding(
                     node,
                     self.id,
-                    f"{node.func.id}(…edges()) materialises the tuple edge "
+                    f"{node.func.id}(…edges) materialises the tuple edge "
                     "view; use Network.edge_endpoints() arrays instead",
                 )
         elif isinstance(node, ast.For):
-            if self._is_edges_call(node.iter):
+            if self._iterates_edges(node.iter):
                 yield module.finding(
                     node,
                     self.id,
-                    "per-edge Python for-loop over edges(); vectorise over "
+                    "per-edge Python for-loop over edges; vectorise over "
                     "edge_endpoints() arrays instead",
                 )
         else:  # comprehensions
             for generator in node.generators:  # type: ignore[union-attr]
-                if self._is_edges_call(generator.iter):
+                if self._iterates_edges(generator.iter):
                     yield module.finding(
                         node,
                         self.id,
-                        "per-edge comprehension over edges(); vectorise over "
+                        "per-edge comprehension over edges; vectorise over "
                         "edge_endpoints() arrays instead",
                     )
                     break
 
     @staticmethod
-    def _is_edges_call(node: ast.AST) -> bool:
-        return (
+    def _iterates_edges(node: ast.AST) -> bool:
+        """``x.edges()`` or the tuple-view attribute ``x.edges``, bare or in ``enumerate``."""
+        if (
             isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "edges"
-        )
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "enumerate"
+            and node.args
+        ):
+            node = node.args[0]
+        if isinstance(node, ast.Call):
+            node = node.func
+        return isinstance(node, ast.Attribute) and node.attr == "edges"
 
 
 # --------------------------------------------------------------------- #

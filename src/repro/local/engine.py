@@ -19,7 +19,8 @@ the per-node Mersenne path is mathematically impossible (one block-generated
 PCG64 stream cannot replay ``n`` interleaved per-node Mersenne streams), so
 the engine has its **own documented seed schedule** and is pinned by
 
-* validator-verified outputs (every engine trace passes the CSR validators),
+* validator-verified outputs (every engine trace passes its problem's
+  validation kernel),
 * identical round-stamp *semantics* (commit rounds, message counts and
   completion rounds follow exactly the coroutine timeline for the same
   decisions — see the algorithm classes for the round-by-round derivations),
@@ -696,10 +697,8 @@ class ArrayEngine:
             )
         if pending > 0:
             return pending, False
-        # State arrays go to the validator as (values, committed-mask)
-        # pairs: problems with a vectorised induced_validator never see a
-        # MISSING-marked Python list (the per-round list build + subnetwork
-        # fallback used to dominate the whole faulted round loop).
+        # State arrays go straight to the problem's kernel as
+        # (values, committed-mask) pairs.
         result = problem.validate_induced(
             network,
             state.node_values,

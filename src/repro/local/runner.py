@@ -30,9 +30,11 @@ import random
 from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.errors import RoundLimitExceeded
 from repro.core.metrics import RecoveryTimeline
-from repro.core.problems import MISSING, ProblemSpec
+from repro.core.problems import ProblemSpec
 from repro.core.trace import ExecutionTrace
 from repro.local.algorithm import Broadcast, NodeAlgorithm
 from repro.local.coroutine import CoroutineAlgorithm
@@ -268,11 +270,14 @@ def _recovery_round_entry(
     if pending > 0:
         return pending, False
     n = network.n
-    node_slots: List[Any] = [MISSING] * n
+    node_values: List[Any] = [None] * n
+    node_committed = bytearray(n)
     for node in nodes:
         if node._output_round is not None:
-            node_slots[node.vertex] = node._output
-    edge_slots: List[Any] = [MISSING] * network.m
+            node_values[node.vertex] = node._output
+            node_committed[node.vertex] = 1
+    edge_values: List[Any] = [None] * network.m
+    edge_committed = bytearray(network.m)
     packed = network._packed_edge_index()
     for node in nodes:
         outputs = node._edge_outputs
@@ -284,10 +289,16 @@ def _recovery_round_entry(
                 continue
             key = v * n + u if v < u else u * n + v
             i = packed.get(key)
-            if i is not None and edge_slots[i] is MISSING:
-                edge_slots[i] = value
+            if i is not None and not edge_committed[i]:
+                edge_values[i] = value
+                edge_committed[i] = 1
     result = problem.validate_induced(
-        network, node_slots, edge_slots, tracker._crashed_set
+        network,
+        node_values,
+        edge_values,
+        tracker._crashed_set,
+        node_committed=np.frombuffer(node_committed, dtype=bool),
+        edge_committed=np.frombuffer(edge_committed, dtype=bool),
     )
     return 0, bool(result)
 
@@ -513,6 +524,11 @@ class Runner:
 
             completed = tracker.is_complete(len(active))
 
+        # The round loop is over: drop the tracker's back-link to the pooled
+        # nodes (each node observes the tracker), so a discarded Runner's
+        # pool is freed by reference counting instead of waiting for a
+        # full cyclic collection.
+        tracker._nodes = None
         if not completed and self.strict:
             raise RoundLimitExceeded(
                 f"{algorithm.name} did not finish {problem.name} on a graph with "
@@ -757,6 +773,7 @@ class Runner:
                 recovery_pending.append(pending)
                 recovery_valid.append(valid)
 
+        tracker._nodes = None  # break the node <-> tracker cycle, as in `_run`
         if not completed and self.strict:
             raise RoundLimitExceeded(
                 f"{algorithm.name} did not finish {problem.name} on a graph with "

@@ -1,9 +1,9 @@
-"""CSR-native validators must agree with their networkx reference twins.
+"""The array validation kernels must agree with their networkx references.
 
-The validators in :mod:`repro.core.problems` exist in two implementations:
-the seed networkx functions (the executable specification) and the CSR
-fast-path functions consuming a :class:`Network`'s ``indptr``/``indices``
-views.  These property tests drive both over random graphs with **valid**
+Every problem in :mod:`repro.core.problems` is checked in two ways: the
+seed networkx functions (the executable specification) and one array
+kernel consuming a :class:`Network`'s ``edge_endpoints()``/``indptr``
+arrays (:meth:`ProblemSpec.validate_network`).  These property tests drive both over random graphs with **valid**
 outputs (produced by simple sequential solvers) and **deliberately
 corrupted** outputs (flipped memberships, dropped entries, stray edges,
 palette violations, re-oriented edges) and assert that the two paths always
@@ -306,8 +306,8 @@ class TestSlotSequenceInputs:
         with pytest.raises(ValueError):
             problems.MIS.validate_network(network, [True, False], None)
 
-    def test_fallback_without_csr_validator(self):
-        """Custom specs without a CSR validator route through the nx path."""
+    def test_fallback_without_kernel(self):
+        """Custom specs without a kernel route through the nx reference."""
         spec = problems.ProblemSpec(
             name="custom-mis",
             labels_nodes=True,

@@ -132,4 +132,6 @@ class TestTwoCopiesWithPerfectMatching:
         union, _, _, matching = transforms.two_copies_with_perfect_matching(g)
         network = Network.from_graph(union)
         edge_outputs = {e: (e in set(matching)) for e in network.edges}
-        assert problems.csr_is_matching(network, [edge_outputs[e] for e in network.edges])
+        assert problems.MAXIMAL_MATCHING.validate_network(
+            network, None, [edge_outputs[e] for e in network.edges]
+        )

@@ -12,3 +12,13 @@ def per_edge_python(network, arrays):
         total += u + v
     weights = [u for u, _ in network.edges()]  # expect[REP002]
     return graph, n, edges, pairs, edge_view, total, weights
+
+
+def per_edge_over_the_tuple_view(network, values):
+    slots = tuple(network.edges)  # expect[REP002]
+    for u, v in network.edges:  # expect[REP002]
+        values[u] += v
+    for i, (u, v) in enumerate(network.edges):  # expect[REP002]
+        values[i] = u
+    heads = {e: values[e[1]] for e in network.edges}  # expect[REP002]
+    return slots, heads, any(v for _, (u, v) in enumerate(network.edges()))  # expect[REP002]

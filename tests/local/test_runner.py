@@ -9,6 +9,8 @@ rejected.
 
 from __future__ import annotations
 
+import gc
+
 import networkx as nx
 import pytest
 
@@ -17,7 +19,7 @@ from repro.core.problems import ProblemSpec, ValidationResult
 from repro.local.algorithm import Broadcast, NodeAlgorithm
 from repro.local.coroutine import CoroutineAlgorithm
 from repro.local.network import Network
-from repro.local.node import CommitError
+from repro.local.node import CommitError, NodeRuntime
 from repro.local.runner import Runner, RoundLimitExceeded, estimate_message_bits
 
 
@@ -101,6 +103,25 @@ class TestBasicExecution:
         trace = runner.run(EchoDegree(), net, _always_valid("p"), seed=0)
         assert trace.node_outputs[0] == 5
         assert all(trace.node_outputs[v] == 1 for v in range(1, 6))
+
+    def test_discarded_runner_frees_its_node_pool_without_the_cyclic_gc(self):
+        """A finished run leaves no node <-> completion-tracker cycle behind."""
+
+        def live_runtimes() -> int:
+            return sum(isinstance(o, NodeRuntime) for o in gc.get_objects())
+
+        net = Network.from_graph(nx.cycle_graph(8))
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_runtimes()
+            runner = Runner()
+            runner.run(EchoDegree(), net, _always_valid("p"), seed=0)
+            assert live_runtimes() == before + 8
+            del runner
+            assert live_runtimes() == before
+        finally:
+            gc.enable()
 
     def test_message_count_tracked(self, runner):
         net = Network.from_graph(nx.cycle_graph(10))
