@@ -3,8 +3,9 @@
 Theorem 5 gives a deterministic algorithm with edge-averaged complexity
 O(log² Δ + log* n), node-averaged O(log³ Δ + log* n) and worst case
 O(log² Δ · log n).  The sweep grows Δ and reports the three measures for our
-deterministic matching (AKO rounding substituted by local-maximum selection,
-see DESIGN.md); the expected shape is edge-averaged ≤ node-averaged ≤ worst
+deterministic matching (the Ahmadi–Kuhn–Oshman rounding of each iteration is
+substituted by local-maximum edge selection, see
+:mod:`repro.algorithms.matching.deterministic`); the expected shape is edge-averaged ≤ node-averaged ≤ worst
 case with slow growth in Δ.
 """
 

@@ -4,8 +4,9 @@ Every server in a storage cluster must forward its write log to at least one
 neighbour (no server may be a sink).  This is the sinkless-orientation problem
 on a graph of minimum degree 3.  The example runs the randomized algorithm
 (node-averaged O(1), Section 3.3) and the deterministic two-stage algorithm
-(Theorem 6, simplified as documented in DESIGN.md) and reports how quickly
-servers learn their forwarding direction.
+(Theorem 6, with the paper's cluster-contraction stage replaced by a
+deterministic peeling stage; see ``repro.algorithms.orientation.deterministic``)
+and reports how quickly servers learn their forwarding direction.
 
 Run with::
 

@@ -9,7 +9,7 @@ fraction of the edges.  Repeating for ``Θ(log Δ)`` iterations also halves the
 number of non-isolated nodes, giving edge-averaged complexity
 ``O(log² Δ + log* n)`` and node-averaged complexity ``O(log³ Δ + log* n)``.
 
-As documented in DESIGN.md (substitutions), we keep the accounting — pick
+Substitution: we keep the accounting — pick
 heavy edges, add them, remove the incident edges — but compute the
 per-iteration matching with a deterministic *local-maximum* rule instead of
 the full AKO rounding: an undecided edge joins the matching when its key

@@ -2,10 +2,10 @@
 
 The paper observes (Section 3.3) that the randomized sinkless-orientation
 algorithm of Ghaffari and Su already has node-averaged complexity O(1): each
-node secures an out-edge with constant probability per attempt.  We implement
-that property with the request/grant consent protocol of
-:mod:`repro.algorithms.orientation.protocol` (see DESIGN.md, substitutions):
-an unsatisfied node requests a uniformly random unoriented incident edge each
+node secures an out-edge with constant probability per attempt.  We substitute
+the request/grant consent protocol of
+:mod:`repro.algorithms.orientation.protocol` for Ghaffari and Su's algorithm
+and keep exactly that property: an unsatisfied node requests a uniformly random unoriented incident edge each
 phase, and requests are granted whenever the granting endpoint can afford to
 lose the edge.  On minimum-degree-3 graphs a request is granted with constant
 probability, so the expected number of two-round phases until a node is

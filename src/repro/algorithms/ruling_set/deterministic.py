@@ -24,8 +24,7 @@ The algorithm follows the structure of Theorem 3 / its proof in Appendix B:
   The paper finishes with the ``O(Δ + log* n)`` MIS of [BEK15] (respectively
   the poly-log MIS of [RG20]); we substitute the simpler iterated
   local-minimum MIS, which is correct and only runs on the small residual
-  instance, so the node-averaged accounting of the theorem is unaffected
-  (see DESIGN.md, substitutions).
+  instance, so the node-averaged accounting of the theorem is unaffected.
 
 Every node that retires in iteration ``i`` is adjacent to a node that stays
 active in iteration ``i + 1``, so the produced independent set is a

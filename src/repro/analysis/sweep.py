@@ -63,7 +63,7 @@ try:  # POSIX: kernel-held lock, auto-released when the holder dies
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback uses a sidecar
     fcntl = None  # type: ignore[assignment]
-from repro.core.experiment import _faults_active, resolve_network, run_trials, trial_seed
+from repro.core.experiment import resolve_network, run_trials, trial_seed
 from repro.core.metrics import ComplexityMeasurement, RecoveryTimeline, measure
 from repro.core.problems import ProblemSpec
 from repro.graphs.edgelist import EdgeArrays
@@ -488,11 +488,12 @@ def _grouped_execution(spec: Dict[str, object]) -> bool:
     per-trial by construction), and an array-capable engine (under ``"node"``
     grouping would only coarsen parallel load-balancing for no gain).
     """
+    faults: Optional[FaultSchedule] = spec["faults"]  # type: ignore[assignment]
     return (
         int(spec["trials"]) > 1
         and spec["cell_timeout"] is None
         and str(spec["engine"]) in ("array", "auto")
-        and not _faults_active(spec["faults"])  # type: ignore[arg-type]
+        and not (faults is not None and faults.active)
     )
 
 

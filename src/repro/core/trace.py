@@ -251,12 +251,8 @@ class ExecutionTrace:
     @property
     def edge_outputs(self) -> Dict[Edge, Any]:
         if self._edge_outputs is None:
-            rounds_arr = self._edge_rounds
             values = self._edge_values
-            edges = self.network.edges
-            self._edge_outputs = {
-                edges[i]: values[i] for i in range(len(rounds_arr)) if rounds_arr[i] >= 0
-            }
+            self._edge_outputs = {edge: values[i] for i, edge in self._committed_edges()}
         return self._edge_outputs
 
     @edge_outputs.setter
@@ -272,9 +268,8 @@ class ExecutionTrace:
     def edge_commit_round(self) -> Dict[Edge, int]:
         if self._edge_commit_round is None:
             rounds_arr = self._edge_rounds
-            edges = self.network.edges
             self._edge_commit_round = {
-                edges[i]: rounds_arr[i] for i in range(len(rounds_arr)) if rounds_arr[i] >= 0
+                edge: rounds_arr[i] for i, edge in self._committed_edges()
             }
         return self._edge_commit_round
 
@@ -286,6 +281,20 @@ class ExecutionTrace:
         self._edge_rounds = None
         self._edge_values = None
         self._invalidate_times()
+
+    def _committed_edges(self) -> List[Tuple[int, Edge]]:
+        """``(slot, canonical edge)`` for every committed edge slot, in slot order.
+
+        Only the committed slots are resolved, through the network's
+        ``edge_endpoints()`` arrays: a trace in which no edge committed (any
+        node-labelling run) never builds the network's tuple edge view.
+        """
+        slots = np.flatnonzero(np.frombuffer(self._edge_rounds, dtype=np.int64) >= 0)
+        if not slots.size:
+            return []
+        us, vs = self.network.edge_endpoints()
+        edges = zip(np.asarray(us)[slots].tolist(), np.asarray(vs)[slots].tolist())
+        return list(zip(slots.tolist(), edges))
 
     def _invalidate_times(self) -> None:
         self._node_times = None
@@ -312,6 +321,7 @@ class ExecutionTrace:
             arr = _new_round_array(self.network.m)
             mapping = self._edge_commit_round
             if mapping:
+                # repro-lint: allow[REP002] dict-built traces only (hand-built / vendored seed pipeline)
                 for i, e in enumerate(self.network.edges):
                     r = mapping.get(e)
                     if r is not None:
@@ -498,10 +508,8 @@ class ExecutionTrace:
     def selected_edges(self) -> List[Edge]:
         """Edges whose committed output is truthy (e.g. matching edges)."""
         if self._edge_values is not None:
-            rounds_arr = self._edge_rounds
             values = self._edge_values
-            edges = self.network.edges
-            return [edges[i] for i in range(len(values)) if rounds_arr[i] >= 0 and values[i]]
+            return [edge for i, edge in self._committed_edges() if values[i]]
         return [e for e, value in self._edge_outputs.items() if value]
 
     def summary(self) -> Dict[str, Any]:

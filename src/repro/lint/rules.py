@@ -145,6 +145,7 @@ _HOT_PATH_MODULES = {
     "repro/local/runner.py",
     "repro/core/metrics.py",
     "repro/core/problems.py",
+    "repro/core/trace.py",
     "repro/graphs/edgelist.py",
 }
 

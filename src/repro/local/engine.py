@@ -50,6 +50,12 @@ Experiment` / :func:`repro.analysis.sweep.sweep` accept
 (default — bit-exact traces), ``"array"`` demands the engine (raising if the
 algorithm has no array implementation), ``"auto"`` picks the engine exactly
 when ``algorithm.as_array_algorithm()`` returns one.
+
+Faults.  :meth:`ArrayEngine.run` has one round loop.  Without an active
+:class:`~repro.local.faults.FaultSchedule` it builds no
+:class:`~repro.local.faults.RoundFaults` view and calls the base protocol's
+``step(round, state, topology, rng)``; with one it hands each round's view
+to ``step(..., faults=...)`` and completion takes the view's alive mask.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from repro.core.errors import RoundLimitExceeded
 from repro.core.metrics import RecoveryTimeline
 from repro.core.problems import ProblemSpec
 from repro.core.trace import ExecutionTrace
-from repro.local.faults import FaultSchedule, RoundFaults
+from repro.local.faults import FaultSchedule
 from repro.local.network import Network
 
 __all__ = [
@@ -249,8 +255,8 @@ class ArrayAlgorithm:
 
     #: Whether :meth:`step` accepts a ``faults`` keyword (a per-round
     #: :class:`~repro.local.faults.RoundFaults` view) and implements the
-    #: crash/drop semantics.  The engine refuses fault schedules for
-    #: algorithms that do not opt in.
+    #: crash/drop semantics.  The engine refuses active fault schedules
+    #: for algorithms that do not opt in.
     supports_faults: bool = False
 
     #: Whether the algorithm implements the batched protocol
@@ -380,7 +386,8 @@ class ArrayEngine:
     ) -> ExecutionTrace:
         """Execute ``algorithm`` on ``network`` under the documented seed schedule.
 
-        With a ``faults`` schedule, each round the engine computes the
+        Without an active ``faults`` schedule the loop calls ``algorithm.step(round, state, topology, rng)``
+        and nothing else.  With one, each round the engine computes the
         schedule's :class:`~repro.local.faults.RoundFaults` view (alive mask
         plus per-direction delivery masks) and hands it to
         ``algorithm.step(..., faults=...)``; completion excuses entities
@@ -389,26 +396,65 @@ class ArrayEngine:
         faults are exposed to the algorithm as the round view's
         ``late_uv`` / ``late_vu`` one-round carry masks; fault-aware array
         algorithms document how their message kernels consume them.
+        Self-stabilising algorithms under a schedule additionally run until
+        the last scheduled crash has landed and record a per-round
+        :class:`~repro.core.metrics.RecoveryTimeline`, mirroring the
+        coroutine runner.
         """
         topology = self._topology(network)
         rng = np.random.Generator(np.random.PCG64(seed))
-
-        if faults is not None and (faults.crashes or faults.has_message_faults):
-            if not getattr(algorithm, "supports_faults", False):
-                raise TypeError(
-                    f"{algorithm.name} has no fault-aware array implementation; "
-                    f"use the coroutine runner (engine='node') for fault injection"
-                )
-            return self._run_faulted(algorithm, network, problem, rng, faults, topology)
+        if faults is not None and not faults.active:
+            faults = None
+        if faults is not None and not getattr(algorithm, "supports_faults", False):
+            raise TypeError(
+                f"{algorithm.name} has no fault-aware array implementation; "
+                f"use the coroutine runner (engine='node') for fault injection"
+            )
 
         state = algorithm.init_arrays(topology, rng)
 
+        selfstab = faults is not None and bool(
+            getattr(algorithm, "self_stabilizing", False)
+        )
+        final_crash = max(faults.crashes.values(), default=0) if selfstab else 0
+        crash_rounds: list = []
+        recovery_pending: list = []
+        recovery_valid: list = []
+        fault_events: list = []
+        # Survivor mask of the current round (``None`` = nobody can crash).
+        alive: Optional[np.ndarray] = None
+        if faults is not None:
+            alive = faults.round_faults(
+                0, topology.n, topology.m, topology.edge_us, topology.edge_vs
+            ).alive
+
         rounds = 0
-        completed = self._is_complete(state, problem)
+        completed = self._is_complete(state, problem, topology, alive) and rounds >= final_crash
         while not completed and rounds < self.max_rounds:
             rounds += 1
-            algorithm.step(rounds, state, topology, rng)
-            completed = self._is_complete(state, problem)
+            if faults is None:
+                algorithm.step(rounds, state, topology, rng)
+            else:
+                round_faults = faults.round_faults(
+                    rounds, topology.n, topology.m, topology.edge_us, topology.edge_vs
+                )
+                alive = round_faults.alive
+                if round_faults.newly_crashed:
+                    crash_rounds.append(rounds)
+                fault_events.extend(
+                    faults.round_events(rounds, topology.edge_us, topology.edge_vs)
+                )
+                algorithm.step(rounds, state, topology, rng, faults=round_faults)
+            completed = (
+                self._is_complete(state, problem, topology, alive)
+                and rounds >= final_crash
+            )
+            if selfstab:
+                pending, valid = self._recovery_round_entry(
+                    state, problem, alive, topology, network, faults.crashed_by(rounds)
+                )
+                recovery_pending.append(pending)
+                recovery_valid.append(valid)
 
         if not completed and self.strict:
             raise RoundLimitExceeded(
@@ -416,8 +462,23 @@ class ArrayEngine:
                 f"n={network.n}, m={network.m} within {self.max_rounds} rounds"
             )
 
+        recovery = None
+        if selfstab:
+            recovery = RecoveryTimeline(
+                crash_rounds=tuple(crash_rounds),
+                pending=tuple(recovery_pending),
+                valid=tuple(recovery_valid),
+            )
         return self._collect_trace(
-            algorithm, network, problem, state, rounds, completed
+            algorithm,
+            network,
+            problem,
+            state,
+            rounds,
+            completed,
+            fault_events=tuple(fault_events),
+            crashed=faults.crashed_within(rounds) if faults is not None else (),
+            recovery=recovery,
         )
 
     def run_batch(
@@ -445,9 +506,9 @@ class ArrayEngine:
         throughput/footprint knob, never a results knob.
 
         Fault schedules are per-trial-timeline constructs; batched runs
-        refuse them (route faulted trials through :meth:`run`).
+        refuse active ones (route faulted trials through :meth:`run`).
         """
-        if faults is not None and (faults.crashes or faults.has_message_faults):
+        if faults is not None and faults.active:
             raise TypeError(
                 "batched execution does not support fault schedules; "
                 "run faulted trials one at a time (ArrayEngine.run)"
@@ -552,126 +613,43 @@ class ArrayEngine:
             complete &= batch.halted.all(axis=1)
         return complete
 
-    def _run_faulted(
-        self,
-        algorithm: ArrayAlgorithm,
-        network: Network,
-        problem: ProblemSpec,
-        rng: np.random.Generator,
-        faults: FaultSchedule,
-        topology: ArrayTopology,
-    ) -> ExecutionTrace:
-        state = algorithm.init_arrays(topology, rng)
-
-        # Self-stabilising runs mirror the coroutine runner: completion is
-        # additionally gated on the last scheduled crash having landed, and
-        # every executed round appends a (pending, survivor-valid) entry to
-        # the recovery timeline.
-        selfstab = bool(getattr(algorithm, "self_stabilizing", False))
-        final_crash = max(faults.crashes.values(), default=0) if selfstab else 0
-        crash_rounds: list = []
-        recovery_pending: list = []
-        recovery_valid: list = []
-
-        fault_events: list = []
-        rounds = 0
-        round_faults = faults.round_faults(
-            0, topology.n, topology.m, topology.edge_us, topology.edge_vs
-        )
-        completed = (
-            self._is_complete_faulted(state, problem, round_faults, topology)
-            and rounds >= final_crash
-        )
-        while not completed and rounds < self.max_rounds:
-            rounds += 1
-            round_faults = faults.round_faults(
-                rounds, topology.n, topology.m, topology.edge_us, topology.edge_vs
-            )
-            if round_faults.newly_crashed:
-                crash_rounds.append(rounds)
-            fault_events.extend(
-                faults.round_events(rounds, topology.edge_us, topology.edge_vs)
-            )
-            algorithm.step(rounds, state, topology, rng, faults=round_faults)
-            completed = self._is_complete_faulted(
-                state, problem, round_faults, topology
-            ) and (not selfstab or rounds >= final_crash)
-            if selfstab:
-                pending, valid = self._recovery_round_entry(
-                    state, problem, round_faults, topology, network,
-                    faults.crashed_by(rounds),
-                )
-                recovery_pending.append(pending)
-                recovery_valid.append(valid)
-
-        if not completed and self.strict:
-            raise RoundLimitExceeded(
-                f"{algorithm.name} did not finish {problem.name} on a graph with "
-                f"n={network.n}, m={network.m} within {self.max_rounds} rounds"
-            )
-
-        recovery = None
-        if selfstab:
-            recovery = RecoveryTimeline(
-                crash_rounds=tuple(crash_rounds),
-                pending=tuple(recovery_pending),
-                valid=tuple(recovery_valid),
-            )
-        return self._collect_trace(
-            algorithm,
-            network,
-            problem,
-            state,
-            rounds,
-            completed,
-            fault_events=tuple(fault_events),
-            crashed=faults.crashed_within(rounds),
-            recovery=recovery,
-        )
-
     @staticmethod
-    def _is_complete(state: ArrayState, problem: ProblemSpec) -> bool:
-        if problem.labels_nodes and (state.node_rounds < 0).any():
-            return False
-        if problem.labels_edges and (state.edge_rounds < 0).any():
-            return False
-        if not problem.labels_nodes and not problem.labels_edges:
-            return bool(state.halted.all())
-        return True
-
-    @staticmethod
-    def _is_complete_faulted(
+    def _is_complete(
         state: ArrayState,
         problem: ProblemSpec,
-        round_faults: RoundFaults,
         topology: ArrayTopology,
+        alive: Optional[np.ndarray] = None,
     ) -> bool:
-        """Completion with crash excusals (mirrors ``_CompletionTracker``).
+        """Whether every required output is decided (mirrors ``_CompletionTracker``).
 
-        Uncommitted nodes only block completion while alive; uncommitted
-        edges only while both endpoints are alive; halting-only problems
-        complete when every node has halted or crashed.
+        Node- / edge-labelling problems complete when every node / edge
+        committed, problems labelling neither when every node halted.  With
+        an ``alive`` mask (faulted runs) crashes excuse entities: uncommitted
+        nodes only block completion while alive, uncommitted edges only
+        while both endpoints are alive, and crashed nodes count as halted.
         """
-        alive = round_faults.alive
-        if problem.labels_nodes and ((state.node_rounds < 0) & alive).any():
-            return False
+        if problem.labels_nodes:
+            pending = state.node_rounds < 0
+            if alive is not None:
+                pending &= alive
+            if pending.any():
+                return False
         if problem.labels_edges:
-            pending = (
-                (state.edge_rounds < 0)
-                & alive[topology.edge_us]
-                & alive[topology.edge_vs]
-            )
+            pending = state.edge_rounds < 0
+            if alive is not None:
+                pending &= alive[topology.edge_us] & alive[topology.edge_vs]
             if pending.any():
                 return False
         if not problem.labels_nodes and not problem.labels_edges:
-            return bool((state.halted | ~alive).all())
+            halted = state.halted if alive is None else state.halted | ~alive
+            return bool(halted.all())
         return True
 
     @staticmethod
     def _recovery_round_entry(
         state: ArrayState,
         problem: ProblemSpec,
-        round_faults: RoundFaults,
+        alive: np.ndarray,
         topology: ArrayTopology,
         network: Network,
         crashed: Tuple[int, ...],
@@ -683,7 +661,6 @@ class ArrayEngine:
         configurations are strictly validated on the induced survivor
         subnetwork so crashed commitments never carry an epoch.
         """
-        alive = round_faults.alive
         pending = 0
         if problem.labels_nodes:
             pending += int(((state.node_rounds < 0) & alive).sum())

@@ -184,6 +184,17 @@ class FaultSchedule:
         """Whether any directed message can be dropped or delayed."""
         return self.drop_rate > 0.0 or self.delay_rate > 0.0
 
+    @property
+    def active(self) -> bool:
+        """Whether the schedule injects anything at all.
+
+        An inactive schedule (no crashes, no message faults) is inert: both
+        engines, the trial dispatcher and the sweep treat it exactly like
+        passing no schedule, so its traces carry no fault events, no crashed
+        vertices and no recovery timeline.
+        """
+        return bool(self.crashes) or self.has_message_faults
+
     def crash_round(self, vertex: int) -> Optional[int]:
         """The round at whose start ``vertex`` crashes, or ``None``."""
         return self.crashes.get(vertex)

@@ -21,6 +21,15 @@ algorithms do).  Completion is tracked *incrementally*: nodes notify a
 :class:`_CompletionTracker` on their first commit / halt, so the
 "is the execution complete?" check is O(1) per round instead of a full scan
 of every node and edge.
+
+Faults.  One round loop serves fault-free and faulted executions.  An
+inactive :class:`~repro.local.faults.FaultSchedule` is the same as none: the
+loop then skips every fault step, and every sender takes the fault-free
+delivery branch, whose per-message loops carry no fate checks — the
+exact-reference hot path.  An active schedule adds crash landing, delayed
+delivery, the per-round fault events and, for self-stabilising algorithms,
+the final-crash gate and the recovery timeline; the send phase branches
+once per sending node on whether the round drops or delays messages.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 import gc
 import random
 from array import array
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -103,6 +113,10 @@ def estimate_message_bits(payload: Any) -> int:
         ) + 2
     # Fallback for exotic payloads (only legitimate in the LOCAL model).
     return 8 * len(repr(payload))
+
+
+def _non_neighbour(source: int, target: int) -> ValueError:
+    return ValueError(f"node {source} attempted to send to non-neighbour {target}")
 
 
 class _CompletionTracker:
@@ -379,7 +393,9 @@ class Runner:
                 survivors can still decide (uncommitted crashed nodes, and
                 edges with a crashed endpoint, are excused).  Fault events
                 and crashed vertices are recorded on the trace, and
-                validation scores the surviving subgraph.
+                validation scores the surviving subgraph.  A schedule
+                that injects nothing (``FaultSchedule()``) is the same as
+                ``None``.
 
         Returns:
             The :class:`ExecutionTrace` of the execution.
@@ -388,9 +404,9 @@ class Runner:
         if gc_was_enabled:
             gc.disable()
         try:
-            if faults is not None and (faults.crashes or faults.has_message_faults):
-                return self._run_faulted(algorithm, network, problem, seed, faults)
-            return self._run(algorithm, network, problem, seed)
+            if faults is not None and not faults.active:
+                faults = None
+            return self._run(algorithm, network, problem, seed, faults)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -401,7 +417,20 @@ class Runner:
         network: Network,
         problem: ProblemSpec,
         seed: Optional[int],
+        faults: Optional[FaultSchedule],
     ) -> ExecutionTrace:
+        """The round loop; ``faults`` is ``None`` or an active schedule.
+
+        Without a schedule every fault step below is skipped, and the send
+        phase takes the fault-free delivery branch for every node.  With
+        one, faults apply in a fixed order per round: crashes at the round
+        start (a node crashing at round ``r`` sends nothing at ``r``), then
+        the previous round's delayed messages are delivered (so a fresh
+        round-``r`` message from the same source overwrites them), then
+        sends with per-directed-edge drop/delay fates from the schedule's
+        documented per-round PCG64 block.  Node randomness is seeded the
+        same way in both modes.
+        """
         master_rng = random.Random(seed)
         tracker = _CompletionTracker(network, problem)
         nodes = self._acquire_nodes(network, master_rng, tracker)
@@ -425,8 +454,30 @@ class Runner:
             inbox_of[node.vertex] = {}
         seen_halt_events = tracker.halt_events
 
+        n = network.n
+        fault_events: List[Tuple] = []
+        # Messages delayed by one round: (target, source, payload), delivered
+        # before the next round's sends.
+        delayed_messages: List[Tuple[int, int, Any]] = []
+        fates_list: Optional[List[int]] = None
+        # Self-stabilising executions under a schedule keep running until
+        # the last scheduled crash has landed (an output-complete
+        # configuration before that is not stable — the adversary will
+        # strike again), notify survivors of crashed neighbours, and record
+        # a per-round recovery timeline.
+        selfstab = faults is not None and bool(
+            getattr(algorithm, "self_stabilizing", False)
+        )
+        final_crash = max(faults.crashes.values(), default=0) if selfstab else 0
+        crash_rounds: List[int] = []
+        recovery_pending: List[int] = []
+        recovery_valid: List[bool] = []
+        if faults is not None:
+            edge_us, edge_vs = network.edge_endpoints()
+            packed = network._packed_edge_index() if faults.has_message_faults else None
+
         rounds_executed = 0
-        completed = tracker.is_complete(len(active))
+        completed = tracker.is_complete(len(active)) and rounds_executed >= final_crash
         send = algorithm.send
         receive = algorithm.receive
         # Coroutine algorithms store their pending outbox in a node slot and
@@ -446,13 +497,81 @@ class Runner:
         while not completed and rounds_executed < self.max_rounds:
             current_round = rounds_executed + 1
 
+            if faults is not None:
+                # Crash-stop faults land at the start of the round: the
+                # casualty is dead *during* the round (sends nothing,
+                # processes nothing).
+                newly_crashed = faults.crashes_at(current_round)
+                if newly_crashed:
+                    crash_rounds.append(current_round)
+                    for v in newly_crashed:
+                        node = nodes[v]
+                        if not node._crashed:
+                            node._crashed = True
+                            inbox_of[v] = None
+                            tracker.node_crashed(v, node._output_round is not None)
+                    if selfstab:
+                        # Survivors adjacent to a fresh casualty learn of the
+                        # crash before producing this round's messages; the
+                        # hook may revoke outputs and re-enter the protocol.
+                        for v in newly_crashed:
+                            for u in nodes[v].neighbors:
+                                survivor = nodes[u]
+                                if not survivor._crashed and not survivor._halted:
+                                    algorithm.neighbor_crashed(survivor, v)
+                    active = [node for node in active if not node._crashed]
+
+                fault_events.extend(faults.round_events(current_round, edge_us, edge_vs))
+                fates = faults.directed_fates(current_round, network.m)
+                fates_list = fates.tolist() if fates is not None else None
+
+                # Last round's delayed messages arrive with this round's
+                # batch; delivering them first lets a newer message from the
+                # same source overwrite, and dead/halted targets (inbox None)
+                # lose them silently.
+                if delayed_messages:
+                    for target, source, payload in delayed_messages:
+                        box = inbox_of[target]
+                        if box is not None:
+                            box[source] = payload
+                    delayed_messages = []
+
             # Phase 1: every participating node produces its messages based on
-            # its state after `rounds_executed` rounds.
+            # its state after `rounds_executed` rounds.  Counts are charged at
+            # the sender (a dropped message was still sent).
             for node in active:
                 outgoing = node._coro_outbox if direct_outbox else send(node)
                 if not outgoing:
                     continue
                 source = node.vertex
+                if fates_list is not None:
+                    # This round drops/delays messages: route every message
+                    # through its directed edge slot's fate.
+                    messages = (
+                        zip(node.neighbors, repeat(outgoing.payload))
+                        if type(outgoing) is Broadcast
+                        else outgoing.items()
+                    )
+                    neighbor_set = node._neighbor_set
+                    for target, payload in messages:
+                        if target not in neighbor_set:
+                            raise _non_neighbour(source, target)
+                        total_messages += 1
+                        if track_bits:
+                            max_message_bits = max(
+                                max_message_bits, estimate_message_bits(payload)
+                            )
+                        key = source * n + target if source < target else target * n + source
+                        fate = fates_list[2 * packed[key] + (0 if source < target else 1)]
+                        if fate == 1:
+                            continue
+                        if fate == 2:
+                            delayed_messages.append((target, source, payload))
+                            continue
+                        box = inbox_of[target]
+                        if box is not None:
+                            box[source] = payload
+                    continue
                 if type(outgoing) is Broadcast:
                     # Full-neighbourhood broadcast: targets are valid by
                     # construction, no per-message dict or validation needed.
@@ -471,9 +590,7 @@ class Runner:
                 neighbor_set = node._neighbor_set
                 for target, payload in outgoing.items():
                     if target not in neighbor_set:
-                        raise ValueError(
-                            f"node {source} attempted to send to non-neighbour {target}"
-                        )
+                        raise _non_neighbour(source, target)
                     total_messages += 1
                     if track_bits:
                         max_message_bits = max(max_message_bits, estimate_message_bits(payload))
@@ -481,7 +598,7 @@ class Runner:
                     if box is not None:
                         box[source] = payload
 
-            # Phase 2: simultaneous delivery and processing.
+            # Phase 2: simultaneous delivery and processing (survivors only).
             if direct_receive:
                 for node in active:
                     if node._halted:
@@ -522,258 +639,17 @@ class Runner:
                         still_active.append(node)
                 active = still_active
 
-            completed = tracker.is_complete(len(active))
+            completed = tracker.is_complete(len(active)) and rounds_executed >= final_crash
+            if selfstab:
+                pending, valid = _recovery_round_entry(tracker, nodes, network, problem)
+                recovery_pending.append(pending)
+                recovery_valid.append(valid)
 
         # The round loop is over: drop the tracker's back-link to the pooled
         # nodes (each node observes the tracker), so a discarded Runner's
         # pool is freed by reference counting instead of waiting for a
         # full cyclic collection.
         tracker._nodes = None
-        if not completed and self.strict:
-            raise RoundLimitExceeded(
-                f"{algorithm.name} did not finish {problem.name} on a graph with "
-                f"n={network.n}, m={network.m} within {self.max_rounds} rounds"
-            )
-
-        return self._collect_trace(
-            algorithm,
-            network,
-            problem,
-            nodes,
-            rounds_executed,
-            completed,
-            total_messages,
-            max_message_bits if self.track_message_bits else None,
-            any_edge_commits=tracker.edge_commit_events > 0,
-        )
-
-    def _run_faulted(
-        self,
-        algorithm: NodeAlgorithm,
-        network: Network,
-        problem: ProblemSpec,
-        seed: Optional[int],
-        faults: FaultSchedule,
-    ) -> ExecutionTrace:
-        """The round loop with fault injection (reference semantics).
-
-        A separate loop so the fault-free hot path of :meth:`_run` stays
-        untouched.  Faults are applied in a fixed order per round: crashes
-        at the round start (a node crashing at round ``r`` sends nothing at
-        ``r``), then the previous round's delayed messages are delivered
-        (so a fresh round-``r`` message from the same source overwrites
-        them), then sends with per-directed-edge drop/delay fates from the
-        schedule's documented per-round PCG64 block.  Node randomness is
-        seeded exactly as in the fault-free path, so a run with an empty
-        schedule is bit-identical to one without a schedule.
-        """
-        master_rng = random.Random(seed)
-        tracker = _CompletionTracker(network, problem)
-        nodes = self._acquire_nodes(network, master_rng, tracker)
-        tracker._nodes = nodes
-
-        total_messages = 0
-        max_message_bits = 0
-        track_bits = self.track_message_bits
-
-        for node in nodes:
-            node._current_round = 0
-            algorithm.init(node)
-
-        active: List[NodeRuntime] = [node for node in nodes if not node._halted]
-        inbox_of: List[Optional[Dict[int, Any]]] = [None] * network.n
-        for node in active:
-            inbox_of[node.vertex] = {}
-        seen_halt_events = tracker.halt_events
-
-        n = network.n
-        m = network.m
-        edge_us, edge_vs = network.edge_endpoints()
-        packed = network._packed_edge_index() if faults.has_message_faults else None
-
-        fault_events: List[Tuple] = []
-        # Messages delayed by one round: (target, source, payload), delivered
-        # before the next round's sends.
-        delayed_messages: List[Tuple[int, int, Any]] = []
-
-        # Self-stabilising executions keep running until the last scheduled
-        # crash has landed (an output-complete configuration before that is
-        # not stable — the adversary will strike again), notify survivors of
-        # crashed neighbours, and record a per-round recovery timeline.
-        selfstab = bool(getattr(algorithm, "self_stabilizing", False))
-        final_crash = max(faults.crashes.values(), default=0) if selfstab else 0
-        crash_rounds: List[int] = []
-        recovery_pending: List[int] = []
-        recovery_valid: List[bool] = []
-
-        rounds_executed = 0
-        completed = tracker.is_complete(len(active)) and rounds_executed >= final_crash
-        send = algorithm.send
-        algorithm_type = type(algorithm)
-        direct_outbox = (
-            isinstance(algorithm, CoroutineAlgorithm)
-            and algorithm_type.send is CoroutineAlgorithm.send
-        )
-        direct_receive = (
-            isinstance(algorithm, CoroutineAlgorithm)
-            and algorithm_type.receive is CoroutineAlgorithm.receive
-        )
-        receive = algorithm.receive
-
-        while not completed and rounds_executed < self.max_rounds:
-            current_round = rounds_executed + 1
-
-            # Crash-stop faults land at the start of the round: the casualty
-            # is dead *during* the round (sends nothing, processes nothing).
-            newly_crashed = faults.crashes_at(current_round)
-            if newly_crashed:
-                crash_rounds.append(current_round)
-                for v in newly_crashed:
-                    node = nodes[v]
-                    if not node._crashed:
-                        node._crashed = True
-                        inbox_of[v] = None
-                        tracker.node_crashed(v, node._output_round is not None)
-                if selfstab:
-                    # Survivors adjacent to a fresh casualty learn of the
-                    # crash before producing this round's messages; the hook
-                    # may revoke outputs and re-enter the protocol.
-                    for v in newly_crashed:
-                        for u in nodes[v].neighbors:
-                            survivor = nodes[u]
-                            if not survivor._crashed and not survivor._halted:
-                                algorithm.neighbor_crashed(survivor, v)
-                active = [node for node in active if not node._crashed]
-
-            fault_events.extend(faults.round_events(current_round, edge_us, edge_vs))
-            fates = faults.directed_fates(current_round, m)
-            fates_list = fates.tolist() if fates is not None else None
-
-            # Last round's delayed messages arrive with this round's batch;
-            # delivering them first lets a newer message from the same
-            # source overwrite, and dead/halted targets (inbox None) lose
-            # them silently.
-            if delayed_messages:
-                for target, source, payload in delayed_messages:
-                    box = inbox_of[target]
-                    if box is not None:
-                        box[source] = payload
-                delayed_messages = []
-
-            # Phase 1: sends.  Counts are charged at the sender (a dropped
-            # message was still sent); drops and delays apply per directed
-            # edge slot via the schedule's fate block.
-            for node in active:
-                outgoing = node._coro_outbox if direct_outbox else send(node)
-                if not outgoing:
-                    continue
-                source = node.vertex
-                if type(outgoing) is Broadcast:
-                    payload = outgoing.payload
-                    neighbors = node.neighbors
-                    total_messages += len(neighbors)
-                    if track_bits:
-                        max_message_bits = max(
-                            max_message_bits, estimate_message_bits(payload)
-                        )
-                    for target in neighbors:
-                        if fates_list is not None:
-                            key = (
-                                source * n + target
-                                if source < target
-                                else target * n + source
-                            )
-                            fate = fates_list[
-                                2 * packed[key] + (0 if source < target else 1)
-                            ]
-                            if fate == 1:
-                                continue
-                            if fate == 2:
-                                delayed_messages.append((target, source, payload))
-                                continue
-                        box = inbox_of[target]
-                        if box is not None:
-                            box[source] = payload
-                    continue
-                neighbor_set = node._neighbor_set
-                for target, payload in outgoing.items():
-                    if target not in neighbor_set:
-                        raise ValueError(
-                            f"node {source} attempted to send to non-neighbour {target}"
-                        )
-                    total_messages += 1
-                    if track_bits:
-                        max_message_bits = max(
-                            max_message_bits, estimate_message_bits(payload)
-                        )
-                    if fates_list is not None:
-                        key = (
-                            source * n + target
-                            if source < target
-                            else target * n + source
-                        )
-                        fate = fates_list[
-                            2 * packed[key] + (0 if source < target else 1)
-                        ]
-                        if fate == 1:
-                            continue
-                        if fate == 2:
-                            delayed_messages.append((target, source, payload))
-                            continue
-                    box = inbox_of[target]
-                    if box is not None:
-                        box[source] = payload
-
-            # Phase 2: simultaneous delivery and processing (survivors only).
-            if direct_receive:
-                for node in active:
-                    if node._halted:
-                        continue
-                    node._current_round = current_round
-                    box = inbox_of[node.vertex]
-                    program = node._coro_program
-                    if program is not None:
-                        try:
-                            node._coro_outbox = program.send(box or {})
-                        except StopIteration:
-                            node._coro_program = None
-                            node._coro_outbox = None
-                            node.halt()
-                    if box:
-                        box.clear()
-            else:
-                for node in active:
-                    if node._halted:
-                        continue
-                    node._current_round = current_round
-                    box = inbox_of[node.vertex]
-                    receive(node, box)
-                    if box:
-                        box.clear()
-
-            rounds_executed = current_round
-
-            if tracker.halt_events != seen_halt_events:
-                seen_halt_events = tracker.halt_events
-                still_active: List[NodeRuntime] = []
-                for node in active:
-                    if node._halted:
-                        inbox_of[node.vertex] = None
-                    else:
-                        still_active.append(node)
-                active = still_active
-
-            completed = tracker.is_complete(len(active)) and (
-                not selfstab or rounds_executed >= final_crash
-            )
-            if selfstab:
-                pending, valid = _recovery_round_entry(
-                    tracker, nodes, network, problem
-                )
-                recovery_pending.append(pending)
-                recovery_valid.append(valid)
-
-        tracker._nodes = None  # break the node <-> tracker cycle, as in `_run`
         if not completed and self.strict:
             raise RoundLimitExceeded(
                 f"{algorithm.name} did not finish {problem.name} on a graph with "
@@ -800,7 +676,7 @@ class Runner:
             max_message_bits if self.track_message_bits else None,
             any_edge_commits=tracker.edge_commit_events > 0,
             fault_events=tuple(fault_events),
-            crashed=faults.crashed_within(rounds_executed),
+            crashed=faults.crashed_within(rounds_executed) if faults is not None else (),
             recovery=recovery,
         )
 

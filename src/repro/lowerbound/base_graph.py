@@ -18,7 +18,10 @@ graph is built cluster by cluster:
 The paper requires ``2(k+1)/β < 1/2`` for the lower bound; graphs at those
 parameters are astronomically large for ``k ≥ 2``, so the constructor also
 supports a ``strict=False`` demo mode that only checks the divisibility
-conditions needed for the construction itself (see DESIGN.md, substitutions).
+conditions needed for the construction itself.  That mode is a substitution:
+it builds the same cluster structure at laptop-scale ``β``, where the
+lower-bound inequality no longer holds, so demo graphs illustrate the
+construction but carry no lower-bound guarantee.
 """
 
 from __future__ import annotations

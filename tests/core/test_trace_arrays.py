@@ -16,12 +16,14 @@ from array import array
 import networkx as nx
 import pytest
 
+from repro.algorithms.matching.randomized import RandomizedMaximalMatching
 from repro.algorithms.mis.luby import LubyMIS
 from repro.core import problems
-from repro.core.experiment import run_trials
+from repro.core.experiment import Experiment, run_trials
 from repro.core.metrics import measure
 from repro.core.trace import ExecutionTrace
 from repro.graphs import generators as gen
+from repro.graphs.generators import fast_gnp_edges
 from repro.local.network import Network
 from repro.local.runner import Runner
 
@@ -166,6 +168,47 @@ class TestRunnerProducesArrayTraces:
         )
         assert len(points) == 2
         assert all(p.measurement.n in (12, 18) for p in points)
+
+
+class TestEdgeViewsResolveCommittedSlotsOnly:
+    """The edge dict views never build ``network.edges`` for uncommitted slots."""
+
+    def test_node_labelling_trace_never_builds_the_tuple_edge_view(self):
+        run = Experiment(
+            problem=problems.MIS,
+            algorithm=LubyMIS,
+            graphs=fast_gnp_edges(1000, 10 / 999, seed=3, as_arrays=True),
+            trials=1,
+        ).run().run
+        trace = run.traces[0]
+        assert run.network._edges_cache is None
+        assert trace.edge_outputs == {}
+        assert trace.edge_commit_round == {}
+        assert trace.selected_edges() == []
+        assert run.network._edges_cache is None
+
+    @pytest.mark.parametrize("engine", ["node", "array"])
+    def test_matching_views_equal_the_tuple_view_enumeration(self, engine):
+        """The views equal the former enumeration of ``network.edges``, slot by slot."""
+        network = Network.from_edge_arrays(
+            fast_gnp_edges(300, 6 / 299, seed=5, as_arrays=True), rng=random.Random(1)
+        )
+        trace = run_trials(
+            RandomizedMaximalMatching, network, problems.MAXIMAL_MATCHING,
+            trials=1, seed=2, engine=engine,
+        )[0]
+        rounds = trace.edge_commit_rounds()
+        values = trace._edge_values
+        edges = network.edges
+        committed = [i for i in range(network.m) if rounds[i] >= 0]
+        assert committed
+        expected_outputs = {edges[i]: values[i] for i in committed}
+        expected_rounds = {edges[i]: rounds[i] for i in committed}
+        assert trace.edge_outputs == expected_outputs
+        assert list(trace.edge_outputs) == list(expected_outputs)
+        assert trace.edge_commit_round == expected_rounds
+        assert trace.selected_edges() == [edges[i] for i in committed if values[i]]
+        assert all(type(u) is int and type(v) is int for u, v in trace.edge_outputs)
 
 
 class TestLegacyDictConstruction:

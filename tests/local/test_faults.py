@@ -27,6 +27,7 @@ import pytest
 import repro.local.faults as faults_module
 from repro.algorithms.matching.randomized import RandomizedMaximalMatching
 from repro.algorithms.mis.luby import LubyMIS
+from repro.algorithms.selfstab import SelfStabilizingLubyMIS
 from repro.core import problems
 from repro.core.errors import classify_failure
 from repro.core.problems import MISSING
@@ -166,26 +167,40 @@ class TestForcedParity:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_empty_schedule_is_bit_identical_to_no_faults(self, seed):
-        """``FaultSchedule()`` must not perturb either engine in any way."""
+        """``FaultSchedule()`` must not perturb either engine in any way.
+
+        A self-stabilising algorithm without an active schedule records no
+        recovery timeline: the schedule gates every fault step, not the
+        algorithm's flag.
+        """
         net = Network.from_edge_list(
             *gen.erdos_renyi_edges(10, 2.5, seed=3), id_scheme="permuted"
         )
         fs = FaultSchedule()
-        plain = Runner(max_rounds=500).run(LubyMIS(), net, problems.MIS, seed=seed)
-        faulted = Runner(max_rounds=500).run(
-            LubyMIS(), net, problems.MIS, seed=seed, faults=fs
+        cases = (
+            (LubyMIS, problems.MIS),
+            (SelfStabilizingLubyMIS, problems.MIS),
+            (RandomizedMaximalMatching, problems.MAXIMAL_MATCHING),
         )
-        assert plain == faulted
-        assert faulted.fault_events == ()
-        assert faulted.crashed == ()
         engine = ArrayEngine(max_rounds=500)
-        array_plain = engine.run(
-            LubyMIS().as_array_algorithm(), net, problems.MIS, seed=seed
-        )
-        array_faulted = engine.run(
-            LubyMIS().as_array_algorithm(), net, problems.MIS, seed=seed, faults=fs
-        )
-        assert array_plain == array_faulted
+        for algorithm, problem in cases:
+            plain = Runner(max_rounds=500).run(algorithm(), net, problem, seed=seed)
+            faulted = Runner(max_rounds=500).run(
+                algorithm(), net, problem, seed=seed, faults=fs
+            )
+            array_plain = engine.run(
+                algorithm().as_array_algorithm(), net, problem, seed=seed
+            )
+            array_faulted = engine.run(
+                algorithm().as_array_algorithm(), net, problem, seed=seed, faults=fs
+            )
+            assert plain == faulted
+            assert array_plain == array_faulted
+            for trace in (plain, faulted, array_plain, array_faulted):
+                assert trace.fault_events == ()
+                assert trace.crashed == ()
+                assert trace.recovery is None
+                assert trace.validate()
 
 
 class TestPinnedFaultedExecutions:
